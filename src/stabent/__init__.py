@@ -31,7 +31,6 @@ from .estimator import (
 from .statevector import (
     CharacteristicDistribution,
     StateVector,
-    bell_difference_sample,
     bell_difference_sample_bits,
     characteristic_distribution,
     entanglement_entropy_oracle,
@@ -60,7 +59,6 @@ from .weyl import (
     DEFAULT_DENSE_CAP,
     CapExceededError,
     StabilizerGroupEstimate,
-    WeylOperator,
     apply_weyl,
     weyl_expectation,
     weyl_group_oracle,
@@ -84,9 +82,7 @@ __all__ = [
     "Subspace",
     "SympVec",
     "Tableau",
-    "WeylOperator",
     "apply_weyl",
-    "bell_difference_sample",
     "bell_difference_sample_bits",
     "bell_pair_ensemble",
     "binary_entropy",

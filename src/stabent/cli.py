@@ -6,7 +6,7 @@ Circuit file grammar (1-based qubit indices, `#` starts a comment):
     H q | S q | X q | Y q | Z q | T q | TDG q | CNOT a b
 
 Exit codes: 0 ok, 2 parse/config error, 3 backend or cap mismatch,
-4 promise violation.
+4 promise violation, 5 internal fault (a broken runtime invariant).
 """
 
 from __future__ import annotations
@@ -33,7 +33,12 @@ from .statevector import (
 )
 from .symplectic import Cut, to_pauli_string
 from .tableau import simulate_clifford, weyl_group_from_tableau
-from .weyl import DEFAULT_DENSE_CAP, CapExceededError, weyl_group_oracle
+from .weyl import (
+    DEFAULT_DENSE_CAP,
+    CapExceededError,
+    StabilizerGroupEstimate,
+    weyl_group_oracle,
+)
 
 __all__ = ["CircuitParseError", "format_circuit", "main", "parse_circuit"]
 
@@ -131,18 +136,30 @@ def _emit(record: dict, output: str | None) -> None:
             fh.write(text)
 
 
+def _route(
+    backend: str, circuit: Circuit
+) -> tuple[str, StabilizerGroupEstimate | None]:
+    """Resolve --backend to (backend, exact group or None).
+
+    auto picks the tableau iff the circuit is Clifford; the tableau refuses
+    non-Clifford circuits and returns the exact group, the dense backend
+    returns None and leaves the state to the caller.
+    """
+    if backend == "auto":
+        backend = "tableau" if circuit.is_clifford else "dense"
+    if backend == "dense":
+        return backend, None
+    if not circuit.is_clifford:
+        raise BackendError("tableau backend cannot run non-Clifford circuits")
+    return backend, weyl_group_from_tableau(simulate_clifford(circuit))
+
+
 def _cmd_estimate(args) -> int:
     circuit = _load_circuit(args.circuit)
     cut = _parse_cut(args.cut, circuit.n)
     k = _resolve_k(args, circuit)
-    backend = args.backend
-    if backend == "auto":
-        backend = "tableau" if circuit.is_clifford else "dense"
-
-    if backend == "tableau":
-        if not circuit.is_clifford:
-            raise BackendError("tableau backend cannot run non-Clifford circuits")
-        group = weyl_group_from_tableau(simulate_clifford(circuit))
+    backend, group = _route(args.backend, circuit)
+    if group is not None:
         report = estimate_entropy(group=group, cut=cut)
         epsilon = delta = None
     else:
@@ -197,14 +214,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_weyl(args) -> int:
     circuit = _load_circuit(args.circuit)
-    backend = args.backend
-    if backend == "auto":
-        backend = "tableau" if circuit.is_clifford else "dense"
-    if backend == "tableau":
-        if not circuit.is_clifford:
-            raise BackendError("tableau backend cannot run non-Clifford circuits")
-        group = weyl_group_from_tableau(simulate_clifford(circuit))
-    else:
+    backend, group = _route(args.backend, circuit)
+    if group is None:
         psi = simulate_circuit(circuit, cap=args.cap)
         group = weyl_group_oracle(psi, cap=args.cap)
     _emit(
@@ -311,6 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     except BackendError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
     except (CircuitParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -179,8 +179,6 @@ def distinguish(
     rng = np.random.default_rng(seed)
 
     correct = 0
-    guess = ""
-    report: BoundReport | None = None
     for _ in range(trials):
         truth = high if rng.random() < 0.5 else low
         circuit = truth.make_circuit(rng)
@@ -198,8 +196,11 @@ def distinguish(
         if not report.promise_violated:
             in_low = report.lower <= g_level <= report.upper
             # With the promise intact the interval is narrower than the gap.
-            assert not (in_high and in_low), "interval contains both levels"
+            if in_high and in_low:
+                raise RuntimeError(
+                    f"interval [{report.lower}, {report.upper}] contains both "
+                    "levels despite an intact promise"
+                )
         guess = high.name if in_high else low.name
         correct += guess == truth.name
-    assert report is not None
     return DistinguisherResult(guess, report, trials, correct / trials)

@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .symplectic import (
     Cut,
     Subspace,
-    SympVec,
     is_isotropic,
     restrict_to_cut,
     symplectic_complement,
@@ -152,53 +150,38 @@ def entropy_bounds_from_group(
     return _raw_bounds(sub, cut)
 
 
-def _sample_bits(samples, n: int) -> tuple[int, set[int]]:
-    """Count and dedupe samples; accepts SympVec sequences or packed arrays."""
-    if isinstance(samples, np.ndarray):
-        distinct = {int(b) for b in np.unique(samples)}
-        count = int(samples.size)
-    else:
-        seq: Sequence[SympVec] | Iterable[SympVec] = samples
-        distinct = set()
-        count = 0
-        for v in seq:
-            if isinstance(v, SympVec):
-                if v.n != n:
-                    raise ValueError("sample qubit count mismatch")
-                distinct.add(v.bits)
-            else:
-                distinct.add(int(v))
-            count += 1
+def _sample_bits(samples: np.ndarray, n: int) -> tuple[int, set[int]]:
+    """Count and dedupe packed samples from bell_difference_sample_bits."""
+    if not isinstance(samples, np.ndarray) or samples.dtype.kind not in "iu":
+        raise ValueError("samples must be a packed integer array")
+    distinct = {int(b) for b in np.unique(samples)}
     limit = 1 << (2 * n)
     if any(not 0 <= b < limit for b in distinct):
         raise ValueError("sample bits out of range")
-    return count, distinct
+    return int(samples.size), distinct
 
 
 def estimate_entropy(
     *,
-    samples=None,
+    samples: np.ndarray | None = None,
     group: StabilizerGroupEstimate | None = None,
     cut: Cut,
     params: EstimatorParams | None = None,
-    n: int | None = None,
 ) -> BoundReport:
     """Entropy bound report from Bell-difference samples or a known group.
 
-    Sampled path: S is the symplectic complement of the sample span; r = 0
-    when dim S hits the promised n - k exactly (the group was recovered
-    exactly) and eps*n + H(eps) otherwise. The sample count must meet
-    required_sample_count for the stated guarantee.
+    Sampled path: `samples` is the packed uint64 array from
+    bell_difference_sample_bits, and S is the symplectic complement of the
+    sample span; r = 0 when dim S hits the promised n - k exactly (the
+    group was recovered exactly) and eps*n + H(eps) otherwise. The sample
+    count must meet required_sample_count for the stated guarantee.
 
     Group path (tableau or oracle provenance): sampling is bypassed, r = 0,
     and the bounds are exact consequences of the supplied group.
     """
     if (samples is None) == (group is None):
         raise ValueError("pass exactly one of samples= or group=")
-    if n is None:
-        n = cut.n
-    elif n != cut.n:
-        raise ValueError(f"n={n} conflicts with cut over {cut.n} qubits")
+    n = cut.n
 
     if group is not None:
         sub = group.subspace

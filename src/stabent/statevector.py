@@ -20,7 +20,6 @@ from .weyl import DEFAULT_DENSE_CAP, _check_cap, expectation_rows
 __all__ = [
     "CharacteristicDistribution",
     "StateVector",
-    "bell_difference_sample",
     "bell_difference_sample_bits",
     "characteristic_distribution",
     "entanglement_entropy_oracle",
@@ -120,7 +119,9 @@ def characteristic_distribution(
     """All 4^n characteristic-function values; sums to 1 for pure input.
 
     Computed in WHT batches over the X half; blocks bound peak memory at
-    large n. The purity identity (sum = 1) is checked, not assumed.
+    large n. The purity identity (sum = 1) is checked, not assumed; since
+    StateVector is normalized on construction, a miss is an internal fault
+    and raises RuntimeError.
     """
     n = psi.n
     _check_cap(n, cap)
@@ -136,7 +137,7 @@ def characteristic_distribution(
         p_mat[:, start:stop] = (rows * rows).T / size
     total = float(p.sum())
     if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"characteristic distribution sums to {total!r}, not 1")
+        raise RuntimeError(f"characteristic distribution sums to {total!r}, not 1")
     cdf = np.cumsum(p)
     p.setflags(write=False)
     cdf.setflags(write=False)
@@ -150,21 +151,13 @@ def bell_difference_sample_bits(
 
     Each output is the XOR of two independent inverse-CDF draws from p,
     which is distributed exactly as the convolution; deterministic given
-    the generator state.
+    the generator state. The uint64 array, one SympVec.bits value per
+    sample, is the sample format estimate_entropy takes.
     """
     u = rng.random(2 * count)
     pos = np.searchsorted(dist.cdf, u, side="right")
     np.minimum(pos, len(dist.cdf) - 1, out=pos)
     return (pos[:count] ^ pos[count:]).astype(np.uint64)
-
-
-def bell_difference_sample(
-    dist: CharacteristicDistribution, rng: np.random.Generator, count: int
-) -> list[SympVec]:
-    """bell_difference_sample_bits, wrapped into SympVec objects."""
-    return [
-        SympVec(dist.n, int(b)) for b in bell_difference_sample_bits(dist, rng, count)
-    ]
 
 
 def entanglement_entropy_oracle(

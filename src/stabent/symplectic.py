@@ -77,6 +77,11 @@ class SympVec:
         return f"SympVec({self.n}, {to_pauli_string(self)!r})"
 
 
+def _product_bits(u: int, v: int, n: int) -> int:
+    """symplectic_product on raw packed ints (hot path)."""
+    return ((u & (v >> n)).bit_count() ^ ((u >> n) & v).bit_count()) & 1
+
+
 def symplectic_product(x: SympVec, y: SympVec) -> int:
     """Standard symplectic product [x, y] = a_x . b_y + b_x . a_y over F2.
 
@@ -84,12 +89,7 @@ def symplectic_product(x: SympVec, y: SympVec) -> int:
     """
     if x.n != y.n:
         raise ValueError(f"qubit count mismatch: {x.n} vs {y.n}")
-    return ((x.a_bits & y.b_bits).bit_count() ^ (x.b_bits & y.a_bits).bit_count()) & 1
-
-
-def _product_bits(u: int, v: int, n: int) -> int:
-    """symplectic_product on raw packed ints (hot path)."""
-    return ((u & (v >> n)).bit_count() ^ ((u >> n) & v).bit_count()) & 1
+    return _product_bits(x.bits, y.bits, x.n)
 
 
 def _rref(rows: Iterable[int]) -> list[int]:

@@ -9,10 +9,10 @@ the estimator needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .circuits import Circuit
-from .symplectic import Subspace, SympVec, _product_bits, span
+from .symplectic import SympVec, span
 from .weyl import StabilizerGroupEstimate
 
 __all__ = [
@@ -25,24 +25,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tableau:
-    """Stabilizer generators of an n-qubit state: n rows plus sign bits."""
+    """Stabilizer generators of an n-qubit state: n rows plus sign bits.
+
+    Construction spans the rows once into `group`, the unsigned stabilizer
+    group; StabilizerGroupEstimate rejects anticommuting rows, and the
+    dimension check here rejects dependent ones.
+    """
 
     n: int
     rows: tuple[SympVec, ...]
     signs: tuple[int, ...]
+    group: StabilizerGroupEstimate = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.rows) != self.n or len(self.signs) != self.n:
             raise ValueError("tableau needs exactly n generator rows and signs")
-        bits = [v.bits for v in self.rows]
-        for i in range(self.n):
-            if self.rows[i].n != self.n:
-                raise ValueError("generator row has wrong qubit count")
-            for j in range(i):
-                if _product_bits(bits[i], bits[j], self.n):
-                    raise ValueError("tableau generators must commute")
-        if Subspace.from_bit_rows(self.n, bits).rank != self.n:
+        group = StabilizerGroupEstimate(span(self.rows, n=self.n), "tableau")
+        if group.dim != self.n:
             raise ValueError("tableau generators must be independent")
+        object.__setattr__(self, "group", group)
 
 
 def simulate_clifford(c: Circuit) -> Tableau:
@@ -92,7 +93,7 @@ def simulate_clifford(c: Circuit) -> Tableau:
 
 def weyl_group_from_tableau(t: Tableau) -> StabilizerGroupEstimate:
     """Span of the generator rows with signs dropped; dim is exactly n."""
-    return StabilizerGroupEstimate(span(t.rows, n=t.n), "tableau")
+    return t.group
 
 
 def conjugate_vector(c: Circuit, v: SympVec) -> SympVec:

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import Subspace, SympVec, is_isotropic, to_pauli_string
+from .symplectic import Subspace, SympVec, is_isotropic
 
 __all__ = [
     "DEFAULT_DENSE_CAP",
     "CapExceededError",
     "StabilizerGroupEstimate",
-    "WeylOperator",
     "apply_weyl",
     "expectation_rows",
     "weyl_expectation",
@@ -32,7 +31,7 @@ __all__ = [
 
 DEFAULT_DENSE_CAP = 12
 
-PROVENANCES = ("exact-oracle", "tableau", "sampled")
+PROVENANCES = ("exact-oracle", "tableau")
 
 _I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
@@ -47,26 +46,11 @@ def _check_cap(n: int, cap: int) -> None:
 
 
 @dataclass(frozen=True)
-class WeylOperator:
-    """Phase-complete view of W_x; `phase_power` is a.b mod 4 (power of i)."""
-
-    v: SympVec
-
-    @property
-    def n(self) -> int:
-        return self.v.n
-
-    @property
-    def phase_power(self) -> int:
-        return (self.v.a_bits & self.v.b_bits).bit_count() & 3
-
-    def __str__(self) -> str:
-        return to_pauli_string(self.v)
-
-
-@dataclass(frozen=True)
 class StabilizerGroupEstimate:
-    """A subspace standing in for Weyl(|psi>), tagged with how it was got."""
+    """A subspace standing in for Weyl(|psi>), tagged with how it was got.
+
+    This is the one place that checks a recovered group is isotropic.
+    """
 
     subspace: Subspace
     provenance: str
@@ -74,7 +58,7 @@ class StabilizerGroupEstimate:
     def __post_init__(self) -> None:
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.provenance != "sampled" and not is_isotropic(self.subspace):
+        if not is_isotropic(self.subspace):
             raise ValueError(f"{self.provenance} group must be isotropic")
 
     @property
@@ -106,7 +90,8 @@ def weyl_expectation(
     """<psi| W_v |psi>, real by Hermiticity.
 
     An imaginary residue above `imag_tol` means the phase convention broke
-    somewhere upstream and is raised rather than truncated.
+    somewhere upstream: an internal fault, raised as RuntimeError rather
+    than truncated.
     """
     if v.n != psi.n:
         raise ValueError(f"qubit count mismatch: {v.n} vs {psi.n}")
@@ -114,7 +99,7 @@ def weyl_expectation(
     amps = np.asarray(psi.amplitudes)
     val = complex(np.vdot(amps, _apply_weyl_amps(v.n, v.bits, amps)))
     if abs(val.imag) > imag_tol:
-        raise ValueError(f"non-real Weyl expectation {val!r}")
+        raise RuntimeError(f"non-real Weyl expectation {val!r}")
     return val.real
 
 
@@ -149,7 +134,7 @@ def expectation_rows(
     table = _I_POWERS[np.bitwise_count(a_col & idx[None, :]) & 3] * wht
     resid = float(np.abs(table.imag).max(initial=0.0))
     if resid > imag_tol:
-        raise ValueError(f"non-real Weyl expectation row (residue {resid:.3e})")
+        raise RuntimeError(f"non-real Weyl expectation row (residue {resid:.3e})")
     return table.real
 
 

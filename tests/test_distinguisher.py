@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import stabent.distinguisher
 from stabent import (
+    BoundReport,
     Cut,
     EnsembleSpec,
     bell_pair_ensemble,
@@ -14,6 +16,7 @@ from stabent import (
     magic_product_ensemble,
     simulate_circuit,
 )
+from stabent.cli import main
 
 
 def test_ensemble_levels_match_oracle():
@@ -97,3 +100,23 @@ def test_result_serialization():
     assert 0.0 <= d["success_rate"] <= 1.0
     assert d["guess"] in ("bell-pairs", "magic-product")
     assert {"lower", "upper", "estimate", "dim_S", "r"} <= set(d)
+
+
+def test_interval_with_both_levels_is_internal_fault(monkeypatch, capsys):
+    # an intact promise bounds the width below the gap, so [0, n/2] can only
+    # come from a broken estimator: an internal fault, not a user error
+    def both_levels(*, cut, **_):
+        half = cut.n / 2
+        return BoundReport(
+            lower=0.0, upper=half, estimate=half / 2, dim_s=cut.n, r=0.0,
+            samples_used=0, cut=cut, promise_violated=False,
+        )
+
+    monkeypatch.setattr(stabent.distinguisher, "estimate_entropy", both_levels)
+    high = bell_pair_ensemble(6)
+    low = magic_product_ensemble(6, t=1)
+    with pytest.raises(RuntimeError, match="both"):
+        distinguish(high, low, 1, Cut(6, {1, 2, 3}), 1 / 3, seed=54)
+    code = main(["distinguish", "--n", "6", "--trials", "1", "--seed", "54"])
+    assert code == 5
+    assert "internal error" in capsys.readouterr().err

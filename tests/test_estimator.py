@@ -235,22 +235,22 @@ def test_copy_count_matches_cubic_formula():
         assert 4 * samples == pytest.approx(closed, abs=4.0)  # ceil slack
 
 
-def test_estimate_accepts_sympvec_lists():
-    circ = Circuit.from_ops(2, ("H", 1), ("CNOT", 1, 2))
-    dist = characteristic_distribution(simulate_circuit(circ))
-    from stabent import bell_difference_sample
-
-    params = EstimatorParams(epsilon=1 / 16, delta=1.0, k=0)
-    count = required_sample_count(2, 1 / 16, 1.0)
-    vecs = bell_difference_sample(dist, np.random.default_rng(44), count)
-    report = estimate_entropy(samples=vecs, cut=Cut(2, {1}), params=params)
-    assert (report.lower, report.upper) == (1.0, 1.0)
-
-
 def test_estimate_insufficient_samples():
     params = EstimatorParams(epsilon=1 / 16, delta=1 / 8, k=0)
     bits = np.zeros(10, dtype=np.uint64)
     with pytest.raises(ValueError, match="at least"):
+        estimate_entropy(samples=bits, cut=Cut(2, {1}), params=params)
+
+
+def test_estimate_rejects_malformed_samples():
+    # packed integer arrays are the one sample format; the range check holds
+    params = EstimatorParams(epsilon=0.3, delta=1.0, k=0)
+    need = required_sample_count(2, 0.3, 1.0)
+    with pytest.raises(ValueError, match="packed"):
+        estimate_entropy(samples=[0] * need, cut=Cut(2, {1}), params=params)
+    bits = np.zeros(need, dtype=np.uint64)
+    bits[0] = 16  # 4^n for n = 2
+    with pytest.raises(ValueError, match="out of range"):
         estimate_entropy(samples=bits, cut=Cut(2, {1}), params=params)
 
 

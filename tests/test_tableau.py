@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from stabent import (
     Circuit,
     SympVec,
+    Tableau,
     conjugate_vector,
     from_pauli_string,
     is_isotropic,
@@ -63,6 +68,45 @@ def test_rows_stay_valid_after_every_gate():
     circ = random_clifford_circuit(5, rng, n_gates=40)
     for cutoff in range(len(circ.gates) + 1):
         simulate_clifford(Circuit(5, circ.gates[:cutoff]))
+
+
+@pytest.mark.parametrize(
+    "n, rows, signs",
+    [
+        (2, ("XI", "ZI"), (0, 0)),  # anticommuting
+        (2, ("ZI", "ZI"), (0, 0)),  # dependent
+        (2, ("ZI",), (0,)),  # wrong row count
+        (2, ("ZI", "IZ"), (0,)),  # wrong sign count
+        (2, ("ZI", "IZI"), (0, 0)),  # a row over the wrong n
+        (2, ("ZIZ", "IZI"), (0, 0)),  # every row over the wrong n
+    ],
+    ids=["anticommuting", "dependent", "rows", "signs", "row-n", "all-n"],
+)
+def test_tableau_rejects_invalid_rows(n, rows, signs):
+    with pytest.raises(ValueError):
+        Tableau(n, tuple(from_pauli_string(r) for r in rows), signs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.integers(0, 4**n - 1), min_size=n, max_size=n).map(
+            lambda bits: (n, bits)
+        )
+    )
+)
+def test_tableau_accepts_iff_independent_and_commuting(case):
+    n, bits = case
+    rows = tuple(SympVec(n, b) for b in bits)
+    mats = [helpers.weyl_matrix(v) for v in rows]
+    valid = helpers.dense_gf2_rank(bits, 2 * n) == n and all(
+        np.allclose(u @ w, w @ u) for u, w in itertools.combinations(mats, 2)
+    )
+    if valid:
+        assert Tableau(n, rows, (0,) * n).group.dim == n
+    else:
+        with pytest.raises(ValueError):
+            Tableau(n, rows, (0,) * n)
 
 
 def test_group_matches_dense_oracle():

@@ -11,7 +11,6 @@ from stabent import (
     Circuit,
     StateVector,
     SympVec,
-    WeylOperator,
     apply_weyl,
     from_pauli_string,
     is_isotropic,
@@ -55,13 +54,6 @@ def test_apply_matches_dense_weyl_matrix():
             got = apply_weyl(v, psi).amplitudes
             want = helpers.weyl_matrix(v) @ psi.amplitudes
             assert np.allclose(got, want, atol=1e-12)
-
-
-def test_weyl_operator_fields():
-    op = WeylOperator(from_pauli_string("XY"))
-    assert op.n == 2
-    assert op.phase_power == 1  # one qubit with a = b = 1
-    assert str(op) == "XY"
 
 
 def test_apply_involution_and_commutation():
@@ -147,8 +139,6 @@ def test_group_estimate_validation():
         StabilizerGroupEstimate(Subspace.full(2), "tableau")  # not isotropic
     with pytest.raises(ValueError):
         StabilizerGroupEstimate(iso, "guessed")  # unknown provenance
-    # sampled groups may legitimately be non-isotropic supersets
-    StabilizerGroupEstimate(Subspace.full(2), "sampled")
 
 
 def test_cap_and_mismatch_errors():
