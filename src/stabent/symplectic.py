@@ -9,12 +9,19 @@ machine words and the symplectic product is one swap plus two AND/popcounts.
 Subspace bases are kept in reduced row-echelon form (pivot = lowest set bit,
 pivots strictly increasing), so two subspaces are equal iff their bases are
 equal, which keeps tests and reports deterministic.
+
+Two passes leave Python ints. The isotropy check packs each half of the basis
+into uint64 words and tests a block of rows against all earlier rows at once,
+by the parity of a popcount. Restriction to a cut is one elimination over the
+full rows, pivoting on coordinates outside the cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 __all__ = [
     "Cut",
@@ -29,6 +36,9 @@ __all__ = [
     "symplectic_product",
     "to_pauli_string",
 ]
+
+# Bytes of one (block, rank) uint64 accumulator in is_isotropic.
+_ISOTROPY_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,28 +229,12 @@ def symplectic_complement(t: Subspace) -> Subspace:
     return Subspace.from_bit_rows(n, _kernel_basis(swapped, 2 * n))
 
 
-def _xor_combos_vanishing(rows: list[int]) -> list[int]:
-    """Masks c with XOR of rows[i] over i in c equal to zero (left kernel)."""
-    pivots: dict[int, tuple[int, int]] = {}
-    combos = []
-    for i, content in enumerate(rows):
-        tag = 1 << i
-        for p, (pc, pt) in pivots.items():
-            if content & p:
-                content ^= pc
-                tag ^= pt
-        if content:
-            pivots[content & -content] = (content, tag)
-        else:
-            combos.append(tag)
-    return combos
-
-
 def restrict_to_cut(s: Subspace, side: Iterable[int]) -> Subspace:
     """Members of s supported only on the given qubits.
 
-    Solved as a linear system: combinations of basis rows whose coordinates
-    outside `side` all cancel.
+    One elimination over the full basis rows, each pivot at a row's lowest
+    coordinate outside `side`: the rows that end with no such coordinate
+    are a basis of the restriction.
     """
     n = s.n
     qubits = set(side)
@@ -250,29 +244,49 @@ def restrict_to_cut(s: Subspace, side: Iterable[int]) -> Subspace:
     for q in qubits:
         keep |= (1 << (n - q)) | (1 << (2 * n - q))
     forbidden = ((1 << (2 * n)) - 1) & ~keep
-    rows = s.bit_rows()
-    vecs = []
-    for combo in _xor_combos_vanishing([r & forbidden for r in rows]):
-        w = 0
-        i = 0
-        while combo:
-            if combo & 1:
-                w ^= rows[i]
-            combo >>= 1
-            i += 1
-        vecs.append(w)
-    return Subspace.from_bit_rows(n, vecs)
+    pivots: dict[int, int] = {}
+    inside = []
+    for v in s.bit_rows():
+        # pivots in insertion order: each pivot row is clear at earlier pivots
+        for p, r in pivots.items():
+            if v & p:
+                v ^= r
+        outside = v & forbidden
+        if outside:
+            pivots[outside & -outside] = v
+        else:
+            inside.append(v)
+    return Subspace.from_bit_rows(n, inside)
+
+
+def _packed_half(rows: list[int], shift: int, n: int) -> np.ndarray:
+    """Bits shift..shift+n-1 of each row as a (words, len(rows)) uint64 array."""
+    words = (n + 63) // 64
+    mask = (1 << n) - 1
+    packed = b"".join(((r >> shift) & mask).to_bytes(8 * words, "little") for r in rows)
+    return np.frombuffer(packed, dtype="<u8").reshape(len(rows), words).T.copy()
 
 
 def is_isotropic(s: Subspace) -> bool:
-    """True iff all members pairwise commute (pairwise-on-basis suffices)."""
+    """True iff all members pairwise commute (pairwise-on-basis suffices).
+
+    Checks a block of basis rows i against themselves and every earlier row
+    j at once: XOR (X_i & Z_j) ^ (Z_i & X_j) over the 64-bit words of each
+    half; the pair commutes iff the result has even popcount.
+    """
+    m, n = s.rank, s.n
     rows = s.bit_rows()
-    n = s.n
-    return all(
-        _product_bits(rows[i], rows[j], n) == 0
-        for i in range(len(rows))
-        for j in range(i)
-    )
+    xs, zs = _packed_half(rows, 0, n), _packed_half(rows, n, n)
+    step = max(1, _ISOTROPY_BLOCK_BYTES // (8 * max(m, 1)))
+    for start in range(0, m, step):
+        stop = min(start + step, m)
+        acc = np.zeros((stop - start, stop), dtype=np.uint64)
+        for xw, zw in zip(xs, zs):
+            acc ^= np.bitwise_and.outer(xw[start:stop], zw[:stop])
+            acc ^= np.bitwise_and.outer(zw[start:stop], xw[:stop])
+        if (np.bitwise_count(acc) & 1).any():
+            return False
+    return True
 
 
 def extract_symplectic_subspace(

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
+from stabent import symplectic
 from stabent import (
     Cut,
     Subspace,
@@ -142,6 +147,23 @@ def test_restrict_matches_bruteforce():
                 assert set(v.support()) <= side
 
 
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 70), side_bits=st.integers(0, 2**70 - 1), seed=st.integers(0, 2**32 - 1))
+def test_restrict_rank_matches_dense_rank(n, side_bits, seed):
+    # dim S_side = dim S - rank of S's rows with the side's coordinates zeroed
+    sub = helpers.random_subspace(n, np.random.default_rng(seed))
+    side = {q for q in range(1, n + 1) if (side_bits >> (q - 1)) & 1}
+    forbidden = 0
+    for q in set(range(1, n + 1)) - side:
+        forbidden |= from_pauli_string("I" * (q - 1) + "Y" + "I" * (n - q)).bits
+    got = restrict_to_cut(sub, side)
+    cut_rows = [r & forbidden for r in sub.bit_rows()]
+    assert got.rank == sub.rank - helpers.dense_gf2_rank(cut_rows, 2 * n)
+    for v in got.basis:
+        assert v in sub
+        assert set(v.support()) <= side
+
+
 def test_restrict_bad_side():
     with pytest.raises(ValueError):
         restrict_to_cut(Subspace.zero(2), {3})
@@ -151,6 +173,33 @@ def test_isotropic_examples():
     assert is_isotropic(span([from_pauli_string("XX"), from_pauli_string("ZZ")]))
     assert not is_isotropic(span([from_pauli_string("X"), from_pauli_string("Z")]))
     assert is_isotropic(Subspace.zero(4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 70),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "isotropic", "one-pair"]),
+    block_bytes=st.sampled_from([None, 1, 1 << 10]),
+)
+@example(n=70, seed=1, kind="isotropic", block_bytes=None)  # two words per half
+@example(n=65, seed=2, kind="one-pair", block_bytes=1)
+def test_isotropic_matches_pairwise_products(n, seed, kind, block_bytes):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        rows = [helpers.rand_bits(rng, 2 * n) for _ in range(int(rng.integers(0, 2 * n + 1)))]
+    else:
+        # the e_i commute pairwise; f_j anticommutes with e_j alone
+        es, fs = helpers.random_symplectic_basis(n, n, rng)
+        rows = [e for e in es if rng.random() < 0.7]
+        if kind == "one-pair":
+            rows.append(fs[int(rng.integers(n))])
+    sub = Subspace.from_bit_rows(n, rows)
+    want = all(symplectic_product(u, w) == 0 for u, w in itertools.combinations(sub.basis, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        if block_bytes is not None:
+            mp.setattr(symplectic, "_ISOTROPY_BLOCK_BYTES", block_bytes)
+        assert is_isotropic(sub) == want
 
 
 def test_extract_examples():

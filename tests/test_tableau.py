@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from stabent import tableau
 from stabent import (
     Circuit,
     SympVec,
@@ -68,6 +70,46 @@ def test_rows_stay_valid_after_every_gate():
     circ = random_clifford_circuit(5, rng, n_gates=40)
     for cutoff in range(len(circ.gates) + 1):
         simulate_clifford(Circuit(5, circ.gates[:cutoff]))
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1], ids=["default", "8-per-block"])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130])
+def test_rows_are_conjugated_z_at_byte_and_word_boundaries(n, block_bytes, monkeypatch):
+    # row q-1 starts as Z_q, so it must end as C(Z_q); block_bytes=1 forces
+    # the smallest transpose blocks, with a partial one at the end
+    if block_bytes is not None:
+        monkeypatch.setattr(tableau, "_TRANSPOSE_BLOCK_BYTES", block_bytes)
+    circ = random_clifford_circuit(n, np.random.default_rng(26 + n), n_gates=10 * n)
+    rows = simulate_clifford(circ).rows
+    for q in range(1, n + 1):
+        z_q = from_pauli_string("I" * (q - 1) + "Z" + "I" * (n - q))
+        assert rows[q - 1] == conjugate_vector(circ, z_q)
+
+
+def test_tableau_rejects_row_anticommuting_only_with_last_row():
+    # the only odd pair is (first row, last row), found in the last block
+    n = 300
+    circ = random_clifford_circuit(n, np.random.default_rng(27), n_gates=10 * n)
+    rows = list(simulate_clifford(circ).rows)
+    # C(X_n) anticommutes with C(Z_n) = rows[-1] and commutes with the rest
+    rows[0] ^= conjugate_vector(circ, from_pauli_string("I" * (n - 1) + "X"))
+    assert [symplectic_product(rows[0], r) for r in rows[1:]] == [0] * (n - 2) + [1]
+    with pytest.raises(ValueError, match="isotropic"):
+        Tableau(n, tuple(rows), (0,) * n)
+
+
+def test_simulate_clifford_peak_memory_is_small():
+    # the 2n x n tableau unpacked to one byte per bit would be 2 MB alone at
+    # n = 1000; blocked unpacking keeps the peak near the packed columns
+    n = 1000
+    circ = random_clifford_circuit(n, np.random.default_rng(28), n_gates=10 * n)
+    tracemalloc.start()
+    try:
+        simulate_clifford(circ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 @pytest.mark.parametrize(
