@@ -5,7 +5,10 @@ Circuit file grammar (1-based qubit indices, `#` starts a comment):
     qubits N
     H q | S q | X q | Y q | Z q | T q | TDG q | CNOT a b
 
-Exit codes: 0 ok, 2 parse/config error, 3 backend or cap mismatch,
+Clifford circuits run on the tableau backend at any n; every other circuit
+runs on the dense backend, which refuses more than DEFAULT_DENSE_CAP qubits.
+
+Exit codes: 0 ok, 2 parse/config error, 3 dense cap exceeded,
 4 promise violation, 5 internal fault (a broken runtime invariant).
 """
 
@@ -33,22 +36,13 @@ from .statevector import (
 )
 from .symplectic import Cut, to_pauli_string
 from .tableau import simulate_clifford, weyl_group_from_tableau
-from .weyl import (
-    DEFAULT_DENSE_CAP,
-    CapExceededError,
-    StabilizerGroupEstimate,
-    weyl_group_oracle,
-)
+from .weyl import CapExceededError, StabilizerGroupEstimate, weyl_group_oracle
 
 __all__ = ["CircuitParseError", "format_circuit", "main", "parse_circuit"]
 
 
 class CircuitParseError(ValueError):
     """Malformed circuit file or run configuration (exit code 2)."""
-
-
-class BackendError(RuntimeError):
-    """Requested backend cannot run the given circuit (exit code 3)."""
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -122,10 +116,14 @@ def _parse_cut(text: str, n: int) -> Cut:
 
 def _resolve_k(args, circuit: Circuit) -> int:
     if args.k is not None:
-        return args.k
-    if args.t is not None:
-        return 2 * args.t
-    return 2 * circuit.t  # stabilizer dimension is at least n - 2t
+        k = args.k
+    elif args.t is not None:
+        k = 2 * args.t
+    else:
+        k = 2 * circuit.t  # stabilizer dimension is at least n - 2t
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    return k
 
 
 def _emit(record: dict, output: str | None) -> None:
@@ -136,44 +134,38 @@ def _emit(record: dict, output: str | None) -> None:
             fh.write(text)
 
 
-def _route(
-    backend: str, circuit: Circuit
-) -> tuple[str, StabilizerGroupEstimate | None]:
-    """Resolve --backend to (backend, exact group or None).
+def _route(circuit: Circuit) -> tuple[str, StabilizerGroupEstimate | None]:
+    """(backend, exact group or None), chosen by the circuit.
 
-    auto picks the tableau iff the circuit is Clifford; the tableau refuses
-    non-Clifford circuits and returns the exact group, the dense backend
-    returns None and leaves the state to the caller.
+    A Clifford circuit goes to the tableau, which returns the exact group;
+    any other goes to the dense backend, which returns None and leaves the
+    state to the caller.
     """
-    if backend == "auto":
-        backend = "tableau" if circuit.is_clifford else "dense"
-    if backend == "dense":
-        return backend, None
-    if not circuit.is_clifford:
-        raise BackendError("tableau backend cannot run non-Clifford circuits")
-    return backend, weyl_group_from_tableau(simulate_clifford(circuit))
+    if circuit.is_clifford:
+        return "tableau", weyl_group_from_tableau(simulate_clifford(circuit))
+    return "dense", None
 
 
 def _cmd_estimate(args) -> int:
     circuit = _load_circuit(args.circuit)
     cut = _parse_cut(args.cut, circuit.n)
     k = _resolve_k(args, circuit)
-    backend, group = _route(args.backend, circuit)
+    backend, group = _route(circuit)
     if group is not None:
         report = estimate_entropy(group=group, cut=cut)
         epsilon = delta = None
     else:
-        if circuit.n > args.cap:
-            raise CapExceededError(f"n={circuit.n} exceeds dense cap {args.cap}")
+        # The cap (exit 3) is checked before the sampling settings (exit 2),
+        # and the sample count before the 4^n table is built.
+        psi = simulate_circuit(circuit)
         epsilon = args.epsilon
         if epsilon is None:
             epsilon = default_epsilon(circuit.n) if circuit.n >= 2 else 0.25
         delta = args.delta
         params = EstimatorParams(epsilon=epsilon, delta=delta, k=k, seed=args.seed)
-        psi = simulate_circuit(circuit, cap=args.cap)
-        dist = characteristic_distribution(psi, cap=args.cap)
-        rng = np.random.default_rng(args.seed)
         count = required_sample_count(circuit.n, epsilon, delta)
+        dist = characteristic_distribution(psi)
+        rng = np.random.default_rng(args.seed)
         bits = bell_difference_sample_bits(dist, rng, count)
         report = estimate_entropy(samples=bits, cut=cut, params=params)
 
@@ -198,8 +190,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_oracle(args) -> int:
     circuit = _load_circuit(args.circuit)
     cut = _parse_cut(args.cut, circuit.n)
-    psi = simulate_circuit(circuit, cap=args.cap)
-    entropy = entanglement_entropy_oracle(psi, cut, cap=args.cap)
+    psi = simulate_circuit(circuit)
+    entropy = entanglement_entropy_oracle(psi, cut)
     _emit(
         {
             "entropy": float(entropy),
@@ -214,10 +206,9 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_weyl(args) -> int:
     circuit = _load_circuit(args.circuit)
-    backend, group = _route(args.backend, circuit)
+    backend, group = _route(circuit)
     if group is None:
-        psi = simulate_circuit(circuit, cap=args.cap)
-        group = weyl_group_oracle(psi, cap=args.cap)
+        group = weyl_group_oracle(simulate_circuit(circuit))
     _emit(
         {
             "dim": group.dim,
@@ -244,7 +235,6 @@ def _cmd_distinguish(args) -> int:
         trials=args.trials,
         seed=args.seed,
         epsilon=args.epsilon,
-        cap=args.cap,
     )
     record = result.to_dict()
     record.update(
@@ -275,26 +265,17 @@ def _build_parser() -> argparse.ArgumentParser:
     kt.add_argument("--k", type=int, default=None, help="stabilizer deficit promise")
     kt.add_argument("--t", type=int, default=None, help="non-Clifford budget (k=2t)")
     est.add_argument("--seed", type=int, default=0)
-    est.add_argument(
-        "--backend", choices=("auto", "tableau", "dense"), default="auto"
-    )
-    est.add_argument("--cap", type=int, default=DEFAULT_DENSE_CAP)
     est.add_argument("--output", default=None)
     est.set_defaults(func=_cmd_estimate)
 
     orc = sub.add_parser("oracle", help="exact dense entropy at the cut")
     orc.add_argument("circuit")
     orc.add_argument("--cut", required=True)
-    orc.add_argument("--cap", type=int, default=DEFAULT_DENSE_CAP)
     orc.add_argument("--output", default=None)
     orc.set_defaults(func=_cmd_oracle)
 
     wey = sub.add_parser("weyl", help="dump the unsigned stabilizer group")
     wey.add_argument("circuit")
-    wey.add_argument(
-        "--backend", choices=("auto", "tableau", "dense"), default="auto"
-    )
-    wey.add_argument("--cap", type=int, default=DEFAULT_DENSE_CAP)
     wey.add_argument("--output", default=None)
     wey.set_defaults(func=_cmd_weyl)
 
@@ -305,7 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dis.add_argument("--delta", type=float, default=1.0 / 3.0)
     dis.add_argument("--epsilon", type=float, default=None)
     dis.add_argument("--seed", type=int, default=0)
-    dis.add_argument("--cap", type=int, default=DEFAULT_DENSE_CAP)
     dis.add_argument("--output", default=None)
     dis.set_defaults(func=_cmd_distinguish)
 
@@ -317,9 +297,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except BackendError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RuntimeError as exc:

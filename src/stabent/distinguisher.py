@@ -29,7 +29,6 @@ from .statevector import (
     simulate_circuit,
 )
 from .symplectic import Cut
-from .weyl import DEFAULT_DENSE_CAP
 
 __all__ = [
     "DistinguisherResult",
@@ -91,7 +90,7 @@ def _local_clifford_gates(
     return gates
 
 
-def bell_pair_ensemble(n: int, name: str = "bell-pairs") -> EnsembleSpec:
+def bell_pair_ensemble(n: int) -> EnsembleSpec:
     """n/2 Bell pairs across the half cut, scrambled by cut-local Cliffords.
 
     Local scrambling leaves the cut entropy at exactly n/2 bits.
@@ -111,12 +110,10 @@ def bell_pair_ensemble(n: int, name: str = "bell-pairs") -> EnsembleSpec:
         gates += _local_clifford_gates(b_side, rng, 4 * half)
         return Circuit(n, tuple(gates))
 
-    return EnsembleSpec(name, 0, float(half), make)
+    return EnsembleSpec("bell-pairs", 0, float(half), make)
 
 
-def magic_product_ensemble(
-    n: int, t: int = 1, name: str = "magic-product"
-) -> EnsembleSpec:
+def magic_product_ensemble(n: int, t: int = 1) -> EnsembleSpec:
     """States that are product across the half cut but carry t magic qubits.
 
     All gates stay inside one side of the cut, so the cut entropy is exactly
@@ -138,7 +135,7 @@ def magic_product_ensemble(
         gates += _local_clifford_gates(b_side, rng, 4 * half)
         return Circuit(n, tuple(gates))
 
-    return EnsembleSpec(name, t, 0.0, make)
+    return EnsembleSpec("magic-product", t, 0.0, make)
 
 
 def distinguish(
@@ -151,7 +148,6 @@ def distinguish(
     trials: int = 1,
     seed: int = 0,
     epsilon: float | None = None,
-    cap: int = DEFAULT_DENSE_CAP,
 ) -> DistinguisherResult:
     """Run the estimator-based distinguisher for `trials` coin-flip trials.
 
@@ -187,8 +183,8 @@ def distinguish(
                 f"ensemble {truth.name!r} produced {circuit.t} non-Clifford "
                 f"gates, budget is {truth.t_budget}"
             )
-        psi = simulate_circuit(circuit, cap=cap)
-        dist = characteristic_distribution(psi, cap=cap)
+        psi = simulate_circuit(circuit)
+        dist = characteristic_distribution(psi)
         bits = bell_difference_sample_bits(dist, rng, count)
         params = EstimatorParams(epsilon=eps, delta=delta, k=2 * t_prime, seed=seed)
         report = estimate_entropy(samples=bits, cut=cut, params=params)

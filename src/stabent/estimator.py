@@ -32,12 +32,19 @@ from .weyl import StabilizerGroupEstimate
 __all__ = [
     "BoundReport",
     "EstimatorParams",
+    "MAX_SAMPLE_COUNT",
     "binary_entropy",
     "default_epsilon",
     "entropy_bounds_from_group",
     "estimate_entropy",
     "required_sample_count",
 ]
+
+
+# The most Bell-difference samples one call may ask for. Each packed sample
+# costs about 48 bytes while it is drawn, so this bounds a draw near 0.8 GB;
+# the default n = 12 run needs 480,697.
+MAX_SAMPLE_COUNT = 1 << 24
 
 
 def binary_entropy(p: float) -> float:
@@ -65,9 +72,19 @@ def _validate_epsilon_delta(epsilon: float, delta: float) -> None:
 
 
 def required_sample_count(n: int, epsilon: float, delta: float) -> int:
-    """ceil((2 ln(1/delta) + 4n) / eps^2) Bell-difference samples."""
+    """ceil((2 ln(1/delta) + 4n) / eps^2) Bell-difference samples.
+
+    Raises ValueError when that exceeds MAX_SAMPLE_COUNT, before anything
+    is drawn.
+    """
     _validate_epsilon_delta(epsilon, delta)
-    return math.ceil((2.0 * math.log(1.0 / delta) + 4.0 * n) / epsilon**2)
+    count = math.ceil((2.0 * math.log(1.0 / delta) + 4.0 * n) / epsilon**2)
+    if count > MAX_SAMPLE_COUNT:
+        raise ValueError(
+            f"epsilon={epsilon}, delta={delta} at n={n} need {count} samples, "
+            f"more than the limit {MAX_SAMPLE_COUNT}"
+        )
+    return count
 
 
 @dataclass(frozen=True)

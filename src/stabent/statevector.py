@@ -15,7 +15,7 @@ import numpy as np
 
 from .circuits import Circuit
 from .symplectic import Cut, SympVec
-from .weyl import DEFAULT_DENSE_CAP, _check_cap, expectation_rows
+from .weyl import _check_cap, expectation_rows
 
 __all__ = [
     "CharacteristicDistribution",
@@ -83,9 +83,9 @@ def _apply_cnot(amps: np.ndarray, c: int, t: int, n: int) -> None:
     sub[...] = np.flip(sub, axis=t_axis).copy()
 
 
-def simulate_circuit(c: Circuit, cap: int = DEFAULT_DENSE_CAP) -> StateVector:
+def simulate_circuit(c: Circuit) -> StateVector:
     """C |0^n> with per-gate O(2^n) updates."""
-    _check_cap(c.n, cap)
+    _check_cap(c.n)
     amps = np.zeros(1 << c.n, dtype=np.complex128)
     amps[0] = 1.0
     for g in c.gates:
@@ -113,9 +113,7 @@ class CharacteristicDistribution:
         return float(self.p[v.bits])
 
 
-def characteristic_distribution(
-    psi: StateVector, cap: int = DEFAULT_DENSE_CAP
-) -> CharacteristicDistribution:
+def characteristic_distribution(psi: StateVector) -> CharacteristicDistribution:
     """All 4^n characteristic-function values; sums to 1 for pure input.
 
     Computed in WHT batches over the X half; blocks bound peak memory at
@@ -124,7 +122,7 @@ def characteristic_distribution(
     and raises RuntimeError.
     """
     n = psi.n
-    _check_cap(n, cap)
+    _check_cap(n)
     size = 1 << n
     p = np.empty(size * size, dtype=np.float64)
     p_mat = p.reshape(size, size)  # [b, a] so that flat index is (b << n) | a
@@ -160,15 +158,13 @@ def bell_difference_sample_bits(
     return (pos[:count] ^ pos[count:]).astype(np.uint64)
 
 
-def entanglement_entropy_oracle(
-    psi: StateVector, cut: Cut, cap: int = DEFAULT_DENSE_CAP
-) -> float:
+def entanglement_entropy_oracle(psi: StateVector, cut: Cut) -> float:
     """Exact von Neumann entropy (bits) across the cut, via SVD.
 
     Squared singular values below 1e-12 contribute nothing.
     """
     n = psi.n
-    _check_cap(n, cap)
+    _check_cap(n)
     if cut.n != n:
         raise ValueError(f"cut is over {cut.n} qubits, state has {n}")
     order = [q - 1 for q in cut.a_sorted + cut.b_sorted]

@@ -31,18 +31,25 @@ __all__ = [
 
 DEFAULT_DENSE_CAP = 12
 
+# Largest imaginary residue a Weyl expectation may carry: the i^(a.b) phase
+# makes every W_x Hermitian, so anything above this is a broken convention.
+_IMAG_TOL = 1e-10
+
+# |<psi|W_x|psi>| >= 1 - _ORACLE_TOL marks x as a stabilizer of psi.
+_ORACLE_TOL = 1e-9
+
 PROVENANCES = ("exact-oracle", "tableau")
 
 _I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
 
 class CapExceededError(ValueError):
-    """Dense-backend request beyond the configured qubit cap."""
+    """Dense-backend request beyond DEFAULT_DENSE_CAP qubits."""
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds dense cap {cap}")
+def _check_cap(n: int) -> None:
+    if n > DEFAULT_DENSE_CAP:
+        raise CapExceededError(f"n={n} exceeds dense cap {DEFAULT_DENSE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -75,30 +82,26 @@ def _apply_weyl_amps(n: int, bits: int, amps: np.ndarray) -> np.ndarray:
     return _I_POWERS[(a & b).bit_count() & 3] * signs * amps[src]
 
 
-def apply_weyl(v: SympVec, psi, cap: int = DEFAULT_DENSE_CAP):
+def apply_weyl(v: SympVec, psi):
     """W_v |psi>, in O(2^n) without materializing the operator."""
     if v.n != psi.n:
         raise ValueError(f"qubit count mismatch: {v.n} vs {psi.n}")
-    _check_cap(psi.n, cap)
     out = _apply_weyl_amps(v.n, v.bits, np.asarray(psi.amplitudes))
     return type(psi)(psi.n, out)
 
 
-def weyl_expectation(
-    v: SympVec, psi, cap: int = DEFAULT_DENSE_CAP, imag_tol: float = 1e-10
-) -> float:
+def weyl_expectation(v: SympVec, psi) -> float:
     """<psi| W_v |psi>, real by Hermiticity.
 
-    An imaginary residue above `imag_tol` means the phase convention broke
+    An imaginary residue above `_IMAG_TOL` means the phase convention broke
     somewhere upstream: an internal fault, raised as RuntimeError rather
     than truncated.
     """
     if v.n != psi.n:
         raise ValueError(f"qubit count mismatch: {v.n} vs {psi.n}")
-    _check_cap(psi.n, cap)
     amps = np.asarray(psi.amplitudes)
     val = complex(np.vdot(amps, _apply_weyl_amps(v.n, v.bits, amps)))
-    if abs(val.imag) > imag_tol:
+    if abs(val.imag) > _IMAG_TOL:
         raise RuntimeError(f"non-real Weyl expectation {val!r}")
     return val.real
 
@@ -117,9 +120,7 @@ def _wht_rows(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def expectation_rows(
-    amps: np.ndarray, a_values: np.ndarray, imag_tol: float = 1e-10
-) -> np.ndarray:
+def expectation_rows(amps: np.ndarray, a_values: np.ndarray) -> np.ndarray:
     """<psi| W_(a|b) |psi> for each a in `a_values` and every b at once.
 
     Row i, column b of the result is the expectation of W with X half
@@ -133,21 +134,20 @@ def expectation_rows(
     wht = _wht_rows(np.ascontiguousarray(g))
     table = _I_POWERS[np.bitwise_count(a_col & idx[None, :]) & 3] * wht
     resid = float(np.abs(table.imag).max(initial=0.0))
-    if resid > imag_tol:
+    if resid > _IMAG_TOL:
         raise RuntimeError(f"non-real Weyl expectation row (residue {resid:.3e})")
     return table.real
 
 
-def weyl_group_oracle(
-    psi, cap: int = DEFAULT_DENSE_CAP, tol: float = 1e-9
-) -> StabilizerGroupEstimate:
-    """Brute-force Weyl(|psi>): every x with |<psi|W_x|psi>| >= 1 - tol.
+def weyl_group_oracle(psi) -> StabilizerGroupEstimate:
+    """Brute-force Weyl(|psi>): every x with |<psi|W_x|psi>| >= 1 - _ORACLE_TOL.
 
-    4^n expectations, evaluated in WHT batches; n <= cap keeps it feasible.
+    4^n expectations, evaluated in WHT batches; the dense cap keeps it
+    feasible.
     The hit set of a pure state is always a subspace and isotropic.
     """
     n = psi.n
-    _check_cap(n, cap)
+    _check_cap(n)
     amps = np.asarray(psi.amplitudes)
     size = 1 << n
     block = max(1, (1 << 22) // size)
@@ -155,6 +155,6 @@ def weyl_group_oracle(
     for start in range(0, size, block):
         a_vals = np.arange(start, min(start + block, size), dtype=np.uint64)
         rows = expectation_rows(amps, a_vals)
-        for i, b in zip(*np.nonzero(np.abs(rows) >= 1.0 - tol)):
+        for i, b in zip(*np.nonzero(np.abs(rows) >= 1.0 - _ORACLE_TOL)):
             hits.append((int(b) << n) | (start + int(i)))
     return StabilizerGroupEstimate(Subspace.from_bit_rows(n, hits), "exact-oracle")

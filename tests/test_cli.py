@@ -1,4 +1,4 @@
-"""CLI behaviour: grammar round-trips, backend selection, exit codes, JSON."""
+"""CLI behaviour: grammar round-trips, backend routing, exit codes, JSON."""
 
 from __future__ import annotations
 
@@ -94,18 +94,67 @@ def test_estimate_missing_file_exit_2(capsys):
     assert code == 2 and "cannot read" in err
 
 
-def test_estimate_tableau_rejects_t_exit_3(tmp_path, capsys):
-    path = _write(tmp_path, "magic.qc", MAGIC2)
-    code, _, err = _run(
-        capsys, "estimate", path, "--cut", "1", "--backend", "tableau"
-    )
-    assert code == 3 and "tableau" in err
-
-
 def test_estimate_cap_exit_3(tmp_path, capsys):
     path = _write(tmp_path, "wide.qc", "qubits 13\nT 1\n")
     code, _, _ = _run(capsys, "estimate", path, "--cut", "1")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weyl", "{wide}"],
+        # the cap is checked before the sampling settings
+        ["estimate", "{wide}", "--cut", "1", "--epsilon", "0.9"],
+        ["distinguish", "--n", "14"],
+    ],
+)
+def test_dense_cap_exit_3(tmp_path, capsys, argv):
+    wide = _write(tmp_path, "wide.qc", "qubits 13\nT 1\n")
+    code, out, err = _run(capsys, *(a.format(wide=wide) for a in argv))
+    assert code == 3 and out == ""
+    assert "exceeds dense cap 12" in err
+
+
+@pytest.mark.parametrize("text", [EPR, MAGIC2])
+@pytest.mark.parametrize("promise", [["--k", "-1"], ["--t", "-1"]])
+def test_negative_promise_exit_2(tmp_path, capsys, text, promise):
+    path = _write(tmp_path, "c.qc", text)
+    code, out, err = _run(capsys, "estimate", path, "--cut", "1", *promise)
+    assert code == 2 and out == ""
+    assert "k must be nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "{t6}", "--cut", "1,2,3", "--epsilon", "1e-4"],
+        ["distinguish", "--n", "6", "--epsilon", "1e-4"],
+    ],
+)
+def test_sample_count_limit_exit_2(tmp_path, capsys, argv):
+    # Without the limit each call would try to draw ~2.8e9 samples.
+    t6 = _write(tmp_path, "t6.qc", "qubits 6\nH 1\nT 1\nCNOT 1 4\n")
+    code, out, err = _run(capsys, *(a.format(t6=t6) for a in argv))
+    assert code == 2 and out == ""
+    assert "limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "{epr}", "--cut", "1", "--backend", "auto"],
+        ["estimate", "{epr}", "--cut", "1", "--cap", "12"],
+        ["weyl", "{epr}", "--backend", "dense"],
+        ["oracle", "{epr}", "--cut", "1", "--cap", "12"],
+        ["distinguish", "--cap", "12"],
+    ],
+)
+def test_backend_and_cap_options_are_gone(tmp_path, argv):
+    epr = _write(tmp_path, "epr.qc", EPR)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(epr=epr) for a in argv])
+    assert exc.value.code == 2
 
 
 def test_estimate_auto_routes_t_to_dense(tmp_path, capsys):

@@ -73,6 +73,11 @@ def test_required_sample_count():
         required_sample_count(2, 0.5, 0.1)  # eps must stay below 3/8
     with pytest.raises(ValueError):
         required_sample_count(2, 0.1, 0.0)
+    # The default dense run at the cap is far below the limit; an epsilon
+    # that would need gigabytes of draws is refused before any is drawn.
+    assert required_sample_count(12, default_epsilon(12), 1 / 8) == 480_697
+    with pytest.raises(ValueError, match="limit"):
+        required_sample_count(6, 1e-4, 1 / 8)  # 2,815,888,309 samples
 
 
 def test_params_validation():

@@ -62,9 +62,16 @@ def test_statevector_validation():
 
 
 def test_simulate_cap():
+    assert simulate_circuit(Circuit(12, ())).n == 12  # at the cap is allowed
     with pytest.raises(CapExceededError):
-        simulate_circuit(Circuit(13, ()), cap=12)
-    simulate_circuit(Circuit(13, ()), cap=13)  # explicit cap raise works
+        simulate_circuit(Circuit(13, ()))
+    # A 13-qubit state is only 8192 amplitudes; the 4^n table and the SVD
+    # oracle refuse it anyway.
+    wide = StateVector(13, np.eye(1, 1 << 13).ravel())
+    with pytest.raises(CapExceededError):
+        characteristic_distribution(wide)
+    with pytest.raises(CapExceededError):
+        entanglement_entropy_oracle(wide, Cut(13, {1}))
 
 
 def test_characteristic_examples():

@@ -145,7 +145,10 @@ def test_cap_and_mismatch_errors():
     zero = _state(1, 0)
     with pytest.raises(ValueError):
         apply_weyl(from_pauli_string("XX"), zero)
+    wide = StateVector(13, np.eye(1, 1 << 13).ravel())
     with pytest.raises(CapExceededError):
-        apply_weyl(from_pauli_string("X"), zero, cap=0)
-    with pytest.raises(CapExceededError):
-        weyl_group_oracle(zero, cap=0)
+        weyl_group_oracle(wide)  # 4^13 expectations
+    # One operator on a state already in memory is O(2^n): no cap applies.
+    x1 = from_pauli_string("X" + "I" * 12)
+    assert apply_weyl(x1, wide).amplitudes[1 << 12] == 1
+    assert weyl_expectation(from_pauli_string("Z" * 13), wide) == 1.0
