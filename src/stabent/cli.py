@@ -24,6 +24,7 @@ from .circuits import GATE_ARITY, Circuit, Gate
 from .distinguisher import bell_pair_ensemble, distinguish, magic_product_ensemble
 from .estimator import (
     EstimatorParams,
+    _validate_epsilon_delta,
     default_epsilon,
     estimate_entropy,
     required_sample_count,
@@ -150,18 +151,21 @@ def _cmd_estimate(args) -> int:
     circuit = _load_circuit(args.circuit)
     cut = _parse_cut(args.cut, circuit.n)
     k = _resolve_k(args, circuit)
+    epsilon = args.epsilon
+    if epsilon is None:
+        epsilon = default_epsilon(circuit.n) if circuit.n >= 2 else 0.25
+    delta = args.delta
     backend, group = _route(circuit)
     if group is not None:
+        # The exact group draws no samples, but bad sampling settings are
+        # still a config error, as on the dense backend.
+        _validate_epsilon_delta(epsilon, delta)
         report = estimate_entropy(group=group, cut=cut)
         epsilon = delta = None
     else:
         # The cap (exit 3) is checked before the sampling settings (exit 2),
-        # and the sample count before the 4^n table is built.
+        # and the sample count before anything is drawn.
         psi = simulate_circuit(circuit)
-        epsilon = args.epsilon
-        if epsilon is None:
-            epsilon = default_epsilon(circuit.n) if circuit.n >= 2 else 0.25
-        delta = args.delta
         params = EstimatorParams(epsilon=epsilon, delta=delta, k=k, seed=args.seed)
         count = required_sample_count(circuit.n, epsilon, delta)
         dist = characteristic_distribution(psi)

@@ -1,6 +1,13 @@
 """Dense 2^n backend: Clifford+T simulation, the characteristic distribution,
 Bell difference sampling, and the exact entanglement entropy oracle.
 
+The characteristic distribution p(a|b) = 2^-n <psi|W_(a|b)|psi>^2 has 4^n
+points but is never tabulated. Draws from it take two exact steps: the X
+half a from its marginal p_X, which is the XOR autocorrelation of |psi|^2
+(two length-2^n Walsh-Hadamard transforms), then the Z half b from
+p(a|b) / p_X(a), from the expectation rows of every a, streamed in row
+batches. Memory is O(2^n * block + samples).
+
 Amplitude index convention: qubit 1 is the most significant index bit, which
 matches the packed-vector convention in `symplectic` (qubit q sits at bit
 n - q of each half), so no index reshuffling happens between the two layers.
@@ -15,7 +22,13 @@ import numpy as np
 
 from .circuits import Circuit
 from .symplectic import Cut, SympVec
-from .weyl import _check_cap, expectation_rows
+from .weyl import (
+    _check_cap,
+    _rows_per_block,
+    _wht_rows,
+    expectation_rows,
+    weyl_expectation,
+)
 
 __all__ = [
     "CharacteristicDistribution",
@@ -28,6 +41,11 @@ __all__ = [
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _T_PHASE = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
+
+# Where p_X is zero its transforms leave rounding residue near 1e-15; values
+# at or below this are set to zero, and each drawn row's sum must match its
+# p_X value to within it, so a drawn X half never has an empty row.
+_MARGINAL_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,48 +116,46 @@ def simulate_circuit(c: Circuit) -> StateVector:
 
 @dataclass(frozen=True, eq=False)
 class CharacteristicDistribution:
-    """p(x) = 2^-n <psi|W_x|psi>^2 on all of F2^(2n), indexed by SympVec.bits.
+    """p(a|b) = 2^-n <psi|W_(a|b)|psi>^2 on F2^(2n), held without its 4^n table.
 
-    `cdf` is the prefix-sum table used for inverse-CDF sampling.
+    `marginal[a]` is the X-half marginal p_X(a) = sum_b p(a|b) and
+    `marginal_cdf` its prefix sums scaled to end at exactly 1; single values
+    of p come from `prob`.
     """
 
     n: int
-    p: np.ndarray
-    cdf: np.ndarray
+    amplitudes: np.ndarray
+    marginal: np.ndarray
+    marginal_cdf: np.ndarray
 
     def prob(self, v: SympVec) -> float:
         if v.n != self.n:
             raise ValueError("qubit count mismatch")
-        return float(self.p[v.bits])
+        # n and amplitudes are all that weyl_expectation reads of a state.
+        return weyl_expectation(v, self) ** 2 / (1 << self.n)
 
 
 def characteristic_distribution(psi: StateVector) -> CharacteristicDistribution:
-    """All 4^n characteristic-function values; sums to 1 for pure input.
+    """The X-half marginal of p, in O(n 2^n) time and O(2^n) memory.
 
-    Computed in WHT batches over the X half; blocks bound peak memory at
-    large n. The purity identity (sum = 1) is checked, not assumed; since
-    StateVector is normalized on construction, a miss is an internal fault
-    and raises RuntimeError.
+    p_X(a) = sum_u |psi(u)|^2 |psi(u xor a)|^2 by Parseval, which is the
+    inverse WHT of the squared WHT of |psi|^2. It must sum to 1 for a pure
+    state; since StateVector is normalized on construction, a miss is an
+    internal fault and raises RuntimeError.
     """
     n = psi.n
     _check_cap(n)
-    size = 1 << n
-    p = np.empty(size * size, dtype=np.float64)
-    p_mat = p.reshape(size, size)  # [b, a] so that flat index is (b << n) | a
-    block = max(1, (1 << 22) // size)
-    for start in range(0, size, block):
-        stop = min(start + block, size)
-        rows = expectation_rows(
-            psi.amplitudes, np.arange(start, stop, dtype=np.uint64)
-        )
-        p_mat[:, start:stop] = (rows * rows).T / size
-    total = float(p.sum())
+    spectrum = _wht_rows(np.abs(psi.amplitudes)[None, :] ** 2)
+    marginal = _wht_rows(spectrum * spectrum)[0] / (1 << n)
+    marginal[marginal <= _MARGINAL_TOL] = 0.0
+    total = float(marginal.sum())
     if abs(total - 1.0) > 1e-9:
         raise RuntimeError(f"characteristic distribution sums to {total!r}, not 1")
-    cdf = np.cumsum(p)
-    p.setflags(write=False)
+    cdf = np.cumsum(marginal)
+    cdf /= cdf[-1]
+    marginal.setflags(write=False)
     cdf.setflags(write=False)
-    return CharacteristicDistribution(n=n, p=p, cdf=cdf)
+    return CharacteristicDistribution(n, psi.amplitudes, marginal, cdf)
 
 
 def bell_difference_sample_bits(
@@ -147,15 +163,46 @@ def bell_difference_sample_bits(
 ) -> np.ndarray:
     """`count` packed samples from q = p * p (XOR convolution).
 
-    Each output is the XOR of two independent inverse-CDF draws from p,
-    which is distributed exactly as the convolution; deterministic given
-    the generator state. The uint64 array, one SympVec.bits value per
-    sample, is the sample format estimate_entropy takes.
+    Each output is the XOR of two independent draws from p, which is
+    distributed exactly as the convolution. A draw takes its X half a by
+    inverse CDF over `marginal_cdf`, then its Z half b by inverse CDF over
+    the squared expectation row of a. The X halves are drawn in sorted
+    order, which groups equal ones, and the draws are shuffled at the end:
+    an i.i.d. sequence is its sorted multiset in uniformly random order.
+    Deterministic given the generator. The uint64 array, one SympVec.bits
+    value per sample, is the sample format estimate_entropy takes.
+
+    Every X half's row is computed, in row batches, whether or not it was
+    drawn, and each must sum to its p_X value, zeros included. So the
+    whole marginal the X halves came from is checked against p, and the
+    work is set by n and count alone, not by the support of p_X, which
+    ranges from 1 to 2^n points between states.
     """
+    n = dist.n
+    size = 1 << n
     u = rng.random(2 * count)
-    pos = np.searchsorted(dist.cdf, u, side="right")
-    np.minimum(pos, len(dist.cdf) - 1, out=pos)
-    return (pos[:count] ^ pos[count:]).astype(np.uint64)
+    u.sort()
+    a = np.searchsorted(dist.marginal_cdf, u, side="right")
+    rng.random(out=u)
+    # The draws with X half a sit at bounds[a]:bounds[a + 1], since a is sorted.
+    bounds = np.searchsorted(a, np.arange(size + 1))
+    b = np.empty(2 * count, dtype=np.int64)
+    block = _rows_per_block(n)
+    for start in range(0, size, block):
+        a_vals = np.arange(start, min(start + block, size))
+        sq = expectation_rows(dist.amplitudes, a_vals) ** 2
+        miss = np.abs(sq.sum(axis=1) / size - dist.marginal[a_vals]).max()
+        if miss > _MARGINAL_TOL:
+            raise RuntimeError(f"expectation rows miss the X marginal by {miss:.3e}")
+        cdf = np.cumsum(sq, axis=1)
+        # A row that sums to 0 stays 0; every other ends at exactly 1, above every u.
+        cdf /= np.maximum(cdf[:, -1:], np.finfo(float).tiny)
+        for row, lo, hi in zip(cdf, bounds[a_vals], bounds[a_vals + 1]):
+            b[lo:hi] = np.searchsorted(row, u[lo:hi], side="right")
+    b <<= n
+    b |= a
+    rng.shuffle(b)
+    return (b[:count] ^ b[count:]).astype(np.uint64)
 
 
 def entanglement_entropy_oracle(psi: StateVector, cut: Cut) -> float:

@@ -7,8 +7,10 @@ without tracking signs.
 
 On a basis state, W_x|s> = i^(a.b) (-1)^(b.s) |s xor a|, which is what the
 kernels below vectorize. Expectation tables over all b for a batch of a
-values go through a Walsh-Hadamard transform, O(n 2^n) per row instead of
-O(4^n) naive.
+values go through a Walsh-Hadamard transform instead of O(4^n) naive work
+per row. The transform is Kronecker-factored, H_(2^n) = H_(2^lo) (x)
+H_(2^hi) with lo = floor(n/2) and hi = ceil(n/2), so one batch of rows costs
+two BLAS matrix products.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ _IMAG_TOL = 1e-10
 # |<psi|W_x|psi>| >= 1 - _ORACLE_TOL marks x as a stabilizer of psi.
 _ORACLE_TOL = 1e-9
 
+# Bytes of one complex128 batch of expectation rows (2^n values per row), so
+# batched callers hold O(2^n * rows) at any n, never the 4^n table.
+_ROW_BLOCK_BYTES = 1 << 23
+
 PROVENANCES = ("exact-oracle", "tableau")
 
 _I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
@@ -50,6 +56,11 @@ class CapExceededError(ValueError):
 def _check_cap(n: int) -> None:
     if n > DEFAULT_DENSE_CAP:
         raise CapExceededError(f"n={n} exceeds dense cap {DEFAULT_DENSE_CAP}")
+
+
+def _rows_per_block(n: int) -> int:
+    """Expectation rows per batch: about _ROW_BLOCK_BYTES, at least one."""
+    return max(1, _ROW_BLOCK_BYTES // (16 << n))
 
 
 @dataclass(frozen=True)
@@ -106,18 +117,24 @@ def weyl_expectation(v: SympVec, psi) -> float:
     return val.real
 
 
+def _hadamard(k: int) -> np.ndarray:
+    """The 2^k x 2^k Sylvester Hadamard matrix, entry (-1)^popcount(i & j)."""
+    idx = np.arange(1 << k, dtype=np.uint64)
+    return 1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1)
+
+
 def _wht_rows(mat: np.ndarray) -> np.ndarray:
-    """In-place unnormalized Walsh-Hadamard transform along the last axis."""
+    """Unnormalized Walsh-Hadamard transform of each row of an (m, 2^n) array.
+
+    Row i read as a 2^lo x 2^hi matrix X (the high index bits pick the
+    row of X) transforms to H_(2^lo) X H_(2^hi), since H_(2^n) is their
+    Kronecker product. Returns a new array; real and complex rows both work.
+    """
     m, size = mat.shape
-    h = 1
-    while h < size:
-        view = mat.reshape(m, -1, 2, h)
-        top = view[:, :, 0, :].copy()
-        bot = view[:, :, 1, :]
-        view[:, :, 0, :] = top + bot
-        view[:, :, 1, :] = top - bot
-        h *= 2
-    return mat
+    n = size.bit_length() - 1
+    h_lo, h_hi = _hadamard(n // 2), _hadamard(n - n // 2)
+    half = mat.reshape(m * len(h_lo), len(h_hi)) @ h_hi
+    return (h_lo @ half.reshape(m, len(h_lo), len(h_hi))).reshape(m, size)
 
 
 def expectation_rows(amps: np.ndarray, a_values: np.ndarray) -> np.ndarray:
@@ -131,7 +148,7 @@ def expectation_rows(amps: np.ndarray, a_values: np.ndarray) -> np.ndarray:
     idx = np.arange(size, dtype=np.uint64)
     a_col = np.asarray(a_values, dtype=np.uint64)[:, None]
     g = np.conj(amps[idx[None, :] ^ a_col]) * amps[None, :]
-    wht = _wht_rows(np.ascontiguousarray(g))
+    wht = _wht_rows(g)
     table = _I_POWERS[np.bitwise_count(a_col & idx[None, :]) & 3] * wht
     resid = float(np.abs(table.imag).max(initial=0.0))
     if resid > _IMAG_TOL:
@@ -150,7 +167,7 @@ def weyl_group_oracle(psi) -> StabilizerGroupEstimate:
     _check_cap(n)
     amps = np.asarray(psi.amplitudes)
     size = 1 << n
-    block = max(1, (1 << 22) // size)
+    block = _rows_per_block(n)
     hits: list[int] = []
     for start in range(0, size, block):
         a_vals = np.arange(start, min(start + block, size), dtype=np.uint64)

@@ -2,8 +2,11 @@
 
 Everything here is deliberately independent of the package internals: dense
 0/1 matrices instead of packed ints, Kronecker products instead of in-place
-gate kernels, explicit convolutions instead of two-draw sampling. The suite
-checks the fast paths against these.
+gate kernels, butterflies instead of the matmul Walsh-Hadamard transform,
+explicit convolutions instead of two-draw sampling. The one exception is
+`characteristic_table`, the full 4^n table built from the package's
+expectation rows; tests check those rows against one-at-a-time
+expectations. The suite checks the fast paths against these.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from stabent import (
     span,
     symplectic_product,
 )
+from stabent.weyl import expectation_rows
 
 # ---------------------------------------------------------------------------
 # GF(2) oracles on dense 0/1 matrices
@@ -190,6 +194,31 @@ def reduced_density_entropy(psi: StateVector, cut: Cut) -> float:
     lam = np.linalg.eigvalsh(rho)
     lam = lam[lam > 1e-12]
     return float(-np.sum(lam * np.log2(lam)))
+
+
+def wht_butterfly(mat: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of each row, by radix-2 butterflies."""
+    out = np.array(mat)
+    m, size = out.shape
+    h = 1
+    while h < size:
+        view = out.reshape(m, -1, 2, h)
+        top = view[:, :, 0, :].copy()
+        bot = view[:, :, 1, :]
+        view[:, :, 0, :] = top + bot
+        view[:, :, 1, :] = top - bot
+        h *= 2
+    return out
+
+
+def characteristic_table(psi: StateVector) -> np.ndarray:
+    """p(x) = 2^-n <psi|W_x|psi>^2 on all of F2^(2n), indexed by SympVec.bits.
+
+    The whole 4^n table, one expectation row per X half; small n only.
+    """
+    size = 1 << psi.n
+    rows = expectation_rows(psi.amplitudes, np.arange(size, dtype=np.uint64))
+    return ((rows * rows).T / size).ravel()  # [b, a], flat index (b << n) | a
 
 
 def convolve_q(p: np.ndarray) -> np.ndarray:

@@ -151,8 +151,9 @@ def test_criterion_5_sampling_correctness():
     ]
     tvs = []
     for i, (name, circ) in enumerate(fixtures):
-        dist = characteristic_distribution(simulate_circuit(circ))
-        q = helpers.convolve_q(dist.p)
+        psi = simulate_circuit(circ)
+        dist = characteristic_distribution(psi)
+        q = helpers.convolve_q(helpers.characteristic_table(psi))
         rng = np.random.default_rng(105 + i)
         count = 100_000
         bits = bell_difference_sample_bits(dist, rng, count)

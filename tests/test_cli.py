@@ -125,6 +125,24 @@ def test_negative_promise_exit_2(tmp_path, capsys, text, promise):
     assert "k must be nonnegative" in err
 
 
+@pytest.mark.parametrize("text", [EPR, MAGIC2])
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        (["--epsilon", "5", "--delta", "-1"], "epsilon must lie"),
+        (["--epsilon", "0"], "epsilon must lie"),
+        (["--delta", "-1"], "delta must lie"),
+        (["--delta", "1.5"], "delta must lie"),
+    ],
+)
+def test_bad_sampling_settings_exit_2(tmp_path, capsys, text, settings, message):
+    # Checked on the tableau backend too, though it draws no samples.
+    path = _write(tmp_path, "c.qc", text)
+    code, out, err = _run(capsys, "estimate", path, "--cut", "1", *settings)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

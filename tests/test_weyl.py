@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from stabent import (
@@ -22,6 +24,7 @@ from stabent import (
     weyl_expectation,
     weyl_group_oracle,
 )
+from stabent.weyl import _wht_rows
 
 _SQRT1_2 = 1 / np.sqrt(2)
 
@@ -152,3 +155,22 @@ def test_cap_and_mismatch_errors():
     x1 = from_pauli_string("X" + "I" * 12)
     assert apply_weyl(x1, wide).amplitudes[1 << 12] == 1
     assert weyl_expectation(from_pauli_string("Z" * 13), wide) == 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    rows=st.integers(1, 4),
+    complex_rows=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=11, rows=3, complex_rows=True, seed=0)  # odd n: 2^5 x 2^6 factors
+@example(n=12, rows=2, complex_rows=False, seed=1)
+def test_wht_rows_matches_butterflies(n, rows, complex_rows, seed):
+    rng = np.random.default_rng(seed)
+    mat = rng.uniform(-1.0, 1.0, (rows, 1 << n))
+    if complex_rows:
+        mat = mat + 1j * rng.uniform(-1.0, 1.0, (rows, 1 << n))
+    got = _wht_rows(mat)
+    assert got.dtype == mat.dtype and got.shape == mat.shape
+    assert np.allclose(got, helpers.wht_butterfly(mat), rtol=0.0, atol=1e-12)
