@@ -10,10 +10,24 @@ Subspace bases are kept in reduced row-echelon form (pivot = lowest set bit,
 pivots strictly increasing), so two subspaces are equal iff their bases are
 equal, which keeps tests and reports deterministic.
 
-Two passes leave Python ints. The isotropy check packs each half of the basis
-into uint64 words and tests a block of rows against all earlier rows at once,
-by the parity of a popcount. Restriction to a cut is one elimination over the
-full rows, pivoting on coordinates outside the cut.
+Elimination and the isotropy check leave Python ints for packed uint64
+matrices of shape (rows, words), in which bit j of a row sits in bit j % 64
+of word j // 64. One Gauss-Jordan kernel, `_eliminate`, reduces such a
+matrix a 64-column word at a time in the style of the Method of Four
+Russians (Albrecht, Bard & Hart, ACM TOMS 2010): the word's pivots come from
+its 64 bit columns, held as m-bit ints, and every row is then cleared with
+tables of all XOR combinations of 8 pivot rows, one gather and one XOR per
+table. A column mask says where pivots may fall, and the rows left without
+a pivot are zero on every allowed column:
+
+- all columns allowed: the pivot rows are the canonical RREF (`span`);
+- the columns outside a cut: the rows left span the members supported on
+  the cut (`restrict_to_cut`);
+- the A^T half of [I | A^T]: the rows left span the kernel of A
+  (`symplectic_complement`).
+
+The isotropy check is the Gram matrix of the symplectic form, a
+Four-Russians product of the basis with its half-swapped transpose.
 """
 
 from __future__ import annotations
@@ -37,8 +51,12 @@ __all__ = [
     "to_pauli_string",
 ]
 
-# Bytes of one (block, rank) uint64 accumulator in is_isotropic.
-_ISOTROPY_BLOCK_BYTES = 1 << 17
+# Bytes of one uint64 accumulator in is_isotropic: the rows against one
+# block of column words.
+_ISOTROPY_BLOCK_BYTES = 1 << 20
+
+# Bytes of one gathered (block, words) uint64 temporary in _combine.
+_GATHER_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,31 +120,162 @@ def symplectic_product(x: SympVec, y: SympVec) -> int:
     return _product_bits(x.bits, y.bits, x.n)
 
 
-def _rref(rows: Iterable[int]) -> list[int]:
-    """Reduced row-echelon form of int-packed rows; pivots ascending.
+_WORD = (1 << 64) - 1
+_BIT_SHIFTS = np.arange(8, dtype=np.uint8)[:, None]
 
-    Each row's pivot is its lowest set bit; the full-reduction invariant
-    (a pivot bit appears in no other row) makes single-pass reduction valid.
+
+def _words(width: int) -> int:
+    return (width + 63) // 64
+
+
+def _pack(rows: Iterable[int], words: int) -> np.ndarray:
+    """Int-packed rows as a writable (rows, words) uint64 matrix.
+
+    Bit j of a row lands in bit j % 64 of word j // 64.
     """
-    pivots: dict[int, int] = {}
-    for v in rows:
-        for p, r in pivots.items():
-            if v & p:
-                v ^= r
-        if v:
-            p = v & -v
-            for q, r in pivots.items():
-                if r & p:
-                    pivots[q] = r ^ v
-            pivots[p] = v
-    return [pivots[p] for p in sorted(pivots)]
+    rows = list(rows)
+    size = 8 * words
+    data = bytearray(size * len(rows))
+    view = memoryview(data)
+    try:
+        for i, r in enumerate(rows):
+            view[i * size : (i + 1) * size] = r.to_bytes(size, "little")
+    except OverflowError:
+        raise ValueError(f"row out of range for {64 * words} bits") from None
+    return np.frombuffer(data, dtype="<u8").reshape(-1, words)
 
 
-def _reduce(v: int, pivots: dict[int, int]) -> int:
-    for p, r in pivots.items():
-        if v & p:
-            v ^= r
-    return v
+def _unpack(mat: np.ndarray, order: Iterable[int]) -> list[int]:
+    """The given rows of a packed matrix back as Python ints."""
+    mat = mat.astype("<u8", copy=False)
+    return [int.from_bytes(mat[i].tobytes(), "little") for i in order]
+
+
+def _bit_columns(strip: np.ndarray) -> np.ndarray:
+    """The 64 bit columns of one uint64 per row, as (64, ceil(rows / 8))
+    packed bytes: bit i of row b is bit b of strip[i]."""
+    data = strip.astype("<u8").view(np.uint8).reshape(-1, 8).T
+    planes = data[:, None, :] >> _BIT_SHIFTS  # [byte, bit, row]
+    planes &= 1
+    return np.packbits(planes.reshape(64, -1), axis=1, bitorder="little")
+
+
+def _transpose(mat: np.ndarray) -> np.ndarray:
+    """Bit transpose of a packed (m, words) matrix, one word column at a time.
+
+    Returns (64 * words, ceil(m / 64)) packed rows: row c holds column c of
+    `mat`, with row i of `mat` at bit i.
+    """
+    m, words = mat.shape
+    out = np.zeros((64 * words, 8 * _words(m)), dtype=np.uint8)
+    for w in range(words):
+        out[64 * w : 64 * w + 64, : (m + 7) // 8] = _bit_columns(mat[:, w])
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
+def _combine(coeffs: np.ndarray, src: np.ndarray, out: np.ndarray) -> None:
+    """out ^= coeffs . src over GF(2), by Four-Russians table lookups.
+
+    Bit b of coeffs[g, i] selects src row 8g + b for out row i. Each group
+    of 8 src rows becomes a table of its 256 XOR combinations, and each block
+    of out rows takes one gather and one XOR per table.
+    """
+    rows, words = out.shape
+    step = max(1, _GATHER_BLOCK_BYTES // (8 * max(words, 1)))
+    table = np.zeros((256, words), dtype=np.uint64)
+    gathered = np.empty((min(step, rows), words), dtype=np.uint64)
+    for g in range(0, len(src), 8):
+        for b, row in enumerate(src[g : g + 8]):
+            np.bitwise_xor(table[: 1 << b], row, out=table[1 << b : 2 << b])
+        idx = coeffs[g // 8]
+        for start in range(0, rows, step):
+            block = out[start : start + step]
+            buf = gathered[: len(block)]
+            np.take(table, idx[start : start + step], axis=0, out=buf, mode="clip")
+            # XOR into buf first: in place on a strided `block`, numpy would
+            # copy it to a temporary
+            buf ^= block
+            block[...] = buf
+
+
+def _eliminate(mat: np.ndarray, allowed: int) -> list[int]:
+    """Gauss-Jordan elimination of a packed matrix in place, pivoting only on
+    the columns set in `allowed`; returns the pivot rows by pivot column.
+
+    Afterwards each pivot column is set in its pivot row alone, and every
+    other row is zero on all allowed columns. The row operations are
+    invertible, so the rows span what they spanned before.
+
+    Works one 64-column word at a time. The word's bit columns, as m-bit
+    ints, are reduced against each other, each pivot picked among the rows
+    that are not pivots yet, until each pivot column is set in its own pivot
+    row alone among the pivot rows. A tag above bit m records which original
+    columns each reduced column sums. Reduced column j then lists the rows
+    that must add pivot row j, and the tags invert the pivot rows' square
+    block B: pivot row j becomes row j of B^-1 times the pivot rows. One
+    _combine applies both.
+    """
+    m, words = mat.shape
+    rowmask = free = (1 << m) - 1
+    order: list[int] = []
+    for w in range(words):
+        colmask = (allowed >> (64 * w)) & _WORD
+        if not free:
+            break
+        if not colmask:
+            continue
+        packed = _bit_columns(mat[:, w]).tobytes()
+        step = len(packed) // 64
+        lows: list[int] = []
+        cols: list[int] = []
+        pcols: list[int] = []
+        for c in range(64):
+            if not colmask >> c & 1:
+                continue
+            v = int.from_bytes(packed[c * step : (c + 1) * step], "little")
+            if not v:
+                continue
+            v |= 1 << (m + c)
+            for low, u in zip(lows, cols):
+                if v & low:
+                    v ^= u
+            candidates = v & free
+            if not candidates:
+                continue  # a sum of earlier pivot columns on the free rows
+            low = candidates & -candidates
+            for i, u in enumerate(cols):
+                if u & low:
+                    cols[i] = u ^ v
+            lows.append(low)
+            cols.append(v)
+            pcols.append(c)
+        if not pcols:
+            continue
+        k = len(pcols)
+        prows = [low.bit_length() - 1 for low in lows]
+        free &= ~sum(lows)
+        groups = (k + 7) // 8
+        adds = b"".join((u & rowmask).to_bytes(step, "little") for u in cols)
+        adds = np.frombuffer(adds.ljust(8 * groups * step, b"\0"), np.uint8)
+        adds = np.unpackbits(adds.reshape(8 * groups, step), axis=1, count=m, bitorder="little")
+        coeffs = np.bitwise_or.reduce(adds.reshape(groups, 8, m) << _BIT_SHIFTS, axis=1)
+        del adds
+        tags = np.array([u >> m for u in cols], dtype=np.uint64)
+        inverse = (tags >> np.array(pcols, dtype=np.uint64)[:, None]) & np.uint64(1)
+        inverse[np.arange(k), np.arange(k)] ^= np.uint64(1)  # pivot rows drop themselves
+        coeffs[:, prows] = np.packbits(inverse.astype(np.uint8), axis=1, bitorder="little").T
+        src = mat[prows]
+        lo = int(np.argmax(src.any(axis=0)))
+        _combine(coeffs, src[:, lo:], mat[:, lo:])
+        order.extend(prows)
+    return order
+
+
+def _rref(rows: Iterable[int], width: int) -> list[int]:
+    """Canonical RREF of int-packed rows of `width` bits: pivot = lowest set
+    bit, pivots ascending, each pivot bit set in its own row alone."""
+    mat = _pack(rows, _words(width))
+    return _unpack(mat, _eliminate(mat, -1))
 
 
 @dataclass(frozen=True)
@@ -150,7 +299,7 @@ class Subspace:
 
     @classmethod
     def from_bit_rows(cls, n: int, rows: Iterable[int]) -> "Subspace":
-        return cls(n, tuple(SympVec(n, r) for r in _rref(rows)))
+        return cls(n, tuple(SympVec(n, r) for r in _rref(rows, 2 * n)))
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -170,8 +319,11 @@ class Subspace:
     def contains(self, v: SympVec) -> bool:
         if v.n != self.n:
             raise ValueError("qubit count mismatch")
-        pivots = {r.bits & -r.bits: r.bits for r in self.basis}
-        return _reduce(v.bits, pivots) == 0
+        bits = v.bits
+        for r in self.basis:  # RREF: clear each pivot (lowest bit) in turn
+            if bits & r.bits & -r.bits:
+                bits ^= r.bits
+        return bits == 0
 
     __contains__ = contains
 
@@ -201,20 +353,20 @@ def span(vectors: Iterable[SympVec], n: int | None = None) -> Subspace:
 
 
 def _kernel_basis(rows: list[int], width: int) -> list[int]:
-    """Basis of {x : parity(r & x) = 0 for every r in rows}."""
-    rref = _rref(rows)
-    pivot_rows = {r & -r: r for r in rref}
-    out = []
-    for f in range(width):
-        fbit = 1 << f
-        if fbit in pivot_rows:
-            continue
-        v = fbit
-        for p, r in pivot_rows.items():
-            if r & fbit:
-                v |= p
-        out.append(v)
-    return out
+    """Basis of {x : parity(r & x) = 0 for every r in rows}.
+
+    Row c of the matrix [I | A^T] pairs the unit vector e_c with column c of
+    A. Eliminating with pivots only in the A^T part leaves width - rank(A)
+    rows that are zero there, and the identity part x of each has A x = 0.
+    """
+    words = _words(width)
+    a = _transpose(_pack(rows, words))[:width]
+    aug = np.zeros((width, words + a.shape[1]), dtype=np.uint64)
+    c = np.arange(width)
+    aug[c, c // 64] = np.uint64(1) << (c % 64).astype(np.uint64)
+    aug[:, words:] = a
+    pivots = set(_eliminate(aug, -1 << (64 * words)))
+    return _unpack(aug[:, :words], (i for i in range(width) if i not in pivots))
 
 
 def symplectic_complement(t: Subspace) -> Subspace:
@@ -232,8 +384,8 @@ def symplectic_complement(t: Subspace) -> Subspace:
 def restrict_to_cut(s: Subspace, side: Iterable[int]) -> Subspace:
     """Members of s supported only on the given qubits.
 
-    One elimination over the full basis rows, each pivot at a row's lowest
-    coordinate outside `side`: the rows that end with no such coordinate
+    One elimination over the full basis rows, pivoting only on coordinates
+    outside `side`: the rows left without a pivot are zero there, and they
     are a basis of the restriction.
     """
     n = s.n
@@ -243,48 +395,37 @@ def restrict_to_cut(s: Subspace, side: Iterable[int]) -> Subspace:
     keep = 0
     for q in qubits:
         keep |= (1 << (n - q)) | (1 << (2 * n - q))
-    forbidden = ((1 << (2 * n)) - 1) & ~keep
-    pivots: dict[int, int] = {}
-    inside = []
-    for v in s.bit_rows():
-        # pivots in insertion order: each pivot row is clear at earlier pivots
-        for p, r in pivots.items():
-            if v & p:
-                v ^= r
-        outside = v & forbidden
-        if outside:
-            pivots[outside & -outside] = v
-        else:
-            inside.append(v)
-    return Subspace.from_bit_rows(n, inside)
-
-
-def _packed_half(rows: list[int], shift: int, n: int) -> np.ndarray:
-    """Bits shift..shift+n-1 of each row as a (words, len(rows)) uint64 array."""
-    words = (n + 63) // 64
-    mask = (1 << n) - 1
-    packed = b"".join(((r >> shift) & mask).to_bytes(8 * words, "little") for r in rows)
-    return np.frombuffer(packed, dtype="<u8").reshape(len(rows), words).T.copy()
+    mat = _pack(s.bit_rows(), _words(2 * n))
+    pivots = _eliminate(mat, ((1 << (2 * n)) - 1) & ~keep)
+    # the rows left are zero outside `keep`, so their RREF pivots lie in it
+    inside = np.delete(mat, pivots, axis=0)
+    rows = _unpack(inside, _eliminate(inside, keep))
+    return Subspace(n, tuple(SympVec(n, r) for r in rows))
 
 
 def is_isotropic(s: Subspace) -> bool:
     """True iff all members pairwise commute (pairwise-on-basis suffices).
 
-    Checks a block of basis rows i against themselves and every earlier row
-    j at once: XOR (X_i & Z_j) ^ (Z_i & X_j) over the 64-bit words of each
-    half; the pair commutes iff the result has even popcount.
+    Forms the Gram matrix G . swap(G)^T of the symplectic form over GF(2):
+    entry (i, j) is [g_i, g_j]. The matrix is symmetric, so a block of
+    column words that starts at column j0 is taken against rows i >= j0
+    only.
     """
     m, n = s.rank, s.n
-    rows = s.bit_rows()
-    xs, zs = _packed_half(rows, 0, n), _packed_half(rows, n, n)
-    step = max(1, _ISOTROPY_BLOCK_BYTES // (8 * max(m, 1)))
-    for start in range(0, m, step):
-        stop = min(start + step, m)
-        acc = np.zeros((stop - start, stop), dtype=np.uint64)
-        for xw, zw in zip(xs, zs):
-            acc ^= np.bitwise_and.outer(xw[start:stop], zw[:stop])
-            acc ^= np.bitwise_and.outer(zw[start:stop], xw[:stop])
-        if (np.bitwise_count(acc) & 1).any():
+    g = _pack(s.bit_rows(), _words(2 * n))
+    swapped = _transpose(g)
+    for lo in range(0, n, 64):  # exchange the X and Z rows, a block at a time
+        hi = min(lo + 64, n)
+        x = swapped[lo:hi].copy()
+        swapped[lo:hi] = swapped[n + lo : n + hi]
+        swapped[n + lo : n + hi] = x
+    coeffs = g.view(np.uint8).T
+    words = swapped.shape[1]
+    width = max(1, _ISOTROPY_BLOCK_BYTES // (8 * max(m, 1)))
+    for a in range(0, words, width):
+        acc = np.zeros((m - 64 * a, min(width, words - a)), dtype=np.uint64)
+        _combine(coeffs[:, 64 * a :], swapped[:, a : a + width], acc)
+        if acc.any():
             return False
     return True
 
@@ -327,7 +468,7 @@ def extract_symplectic_subspace(
             if _product_bits(v, f, n):
                 w ^= e
             projected.append(w)
-        work = _rref(projected)
+        work = _rref(projected, 2 * n)
     return pairs, Subspace(n, tuple(SympVec(n, r) for r in work))
 
 

@@ -28,10 +28,12 @@ from stabent.weyl import expectation_rows
 # GF(2) oracles on dense 0/1 matrices
 
 
-def dense_gf2_rank(rows: list[int], width: int) -> int:
-    """Rank over GF(2) by dense elimination on a uint8 matrix."""
+def dense_gf2_rref(rows: list[int], width: int) -> list[int]:
+    """Reduced row-echelon form over GF(2) by dense elimination on a uint8
+    matrix: columns in ascending bit order, so each row's pivot is its lowest
+    set bit, pivots ascend, and a pivot bit is set in its own row alone."""
     if not rows:
-        return 0
+        return []
     mat = np.array(
         [[(r >> j) & 1 for j in range(width)] for r in rows], dtype=np.uint8
     )
@@ -49,7 +51,12 @@ def dense_gf2_rank(rows: list[int], width: int) -> int:
             if r != rank and mat[r, col]:
                 mat[r] ^= mat[rank]
         rank += 1
-    return rank
+    return [sum(int(b) << j for j, b in enumerate(row)) for row in mat[:rank]]
+
+
+def dense_gf2_rank(rows: list[int], width: int) -> int:
+    """Rank over GF(2) by dense elimination on a uint8 matrix."""
+    return len(dense_gf2_rref(rows, width))
 
 
 def all_vectors(n: int):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,105 @@ def test_span_rank_matches_dense_elimination():
             ]
             got = Subspace.from_bit_rows(n, rows).rank
             assert got == helpers.dense_gf2_rank(rows, 2 * n)
+
+
+def _structured_rows(rng: np.random.Generator, width: int, kind: str) -> list[int]:
+    """Rows for the elimination oracles: dense, of low rank with repeats, or
+    sparse; with zero and duplicate rows, sometimes more rows than columns."""
+    count = int(rng.integers(0, width + 8))
+    if kind == "dense":
+        rows = [helpers.rand_bits(rng, width) for _ in range(count)]
+    elif kind == "low-rank":
+        gens = [helpers.rand_bits(rng, width) for _ in range(int(rng.integers(0, 6)))]
+        rows = []
+        for _ in range(count):
+            v = 0
+            for g in gens:
+                if rng.random() < 0.5:
+                    v ^= g
+            rows.append(v)
+    else:
+        rows = [
+            sum(1 << int(j) for j in set(rng.integers(0, width, int(rng.integers(1, 4)))))
+            for _ in range(count)
+        ]
+    rows += [0] * int(rng.integers(0, 3))
+    if rows:
+        rows += [rows[int(i)] for i in rng.integers(0, len(rows), int(rng.integers(0, 4)))]
+    rng.shuffle(rows)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 70),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["dense", "low-rank", "sparse"]),
+)
+@example(n=32, seed=1, kind="dense")  # 2n = 64: exactly one word
+@example(n=64, seed=2, kind="sparse")  # 2n = 128: exactly two words
+def test_span_equals_dense_rref(n, seed, kind):
+    rows = _structured_rows(np.random.default_rng(seed), 2 * n, kind)
+    assert Subspace.from_bit_rows(n, rows).bit_rows() == helpers.dense_gf2_rref(rows, 2 * n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 70),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["dense", "low-rank", "sparse"]),
+)
+def test_complement_rank_and_orthogonality(n, seed, kind):
+    sub = Subspace.from_bit_rows(n, _structured_rows(np.random.default_rng(seed), 2 * n, kind))
+    comp = symplectic_complement(sub)
+    assert sub.rank + comp.rank == 2 * n
+    assert helpers.dense_gf2_rank(comp.bit_rows(), 2 * n) == comp.rank
+    for v in comp.basis:
+        assert all(symplectic_product(v, w) == 0 for w in sub.basis)
+
+
+@pytest.mark.parametrize("width", [63, 64, 65, 127, 128, 129])
+def test_rref_and_kernel_at_word_boundaries(width):
+    rng = np.random.default_rng(width)
+    top = 1 << (width - 1)
+    cases = [
+        [],
+        [0, 0, 0],
+        [top, top, 1 << 63 if width > 63 else 1, top | 1],
+        [(1 << width) - 1, (1 << width) - 2, 1 << (width // 2)],
+        [helpers.rand_bits(rng, width) for _ in range(width + 5)],
+    ]
+    cases += [_structured_rows(rng, width, kind) for kind in ("dense", "low-rank", "sparse")]
+    for rows in cases:
+        want = helpers.dense_gf2_rref(rows, width)
+        assert symplectic._rref(rows, width) == want
+        kernel = symplectic._kernel_basis(rows, width)
+        assert len(kernel) == width - len(want)
+        assert helpers.dense_gf2_rank(kernel, width) == len(kernel)
+        assert all((r & x).bit_count() % 2 == 0 for r in rows for x in kernel)
+
+
+def test_span_and_restrict_peak_memory_is_small():
+    # 1000 rows of 2000 bits pack into 1000 x 32 words x 8 B = 256 kB; the
+    # kernel gathers its table rows in blocks, so neither call, output
+    # included, peaks above three times that
+    n = 1000
+    packed = n * 32 * 8
+    rng = np.random.default_rng(29)
+    vecs = [SympVec(n, helpers.rand_bits(rng, 2 * n)) for _ in range(n)]
+    tracemalloc.start()
+    try:
+        sub = span(vecs, n=n)
+        span_peak = tracemalloc.get_traced_memory()[1]
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        restrict_to_cut(sub, range(1, n // 2 + 1))
+        cut_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sub.rank == n
+    assert span_peak <= 3 * packed
+    assert cut_peak <= 3 * packed
 
 
 def test_span_canonical_equality():
