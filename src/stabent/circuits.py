@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,24 +34,23 @@ class Circuit:
 
     n: int
     gates: tuple[Gate, ...]
+    t: int = field(init=False, repr=False, compare=False)  # non-Clifford gates
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("qubit count must be positive")
+        t = 0
         for g in self.gates:
             for q in g.qubits:
                 if not 1 <= q <= self.n:
                     raise ValueError(f"{g.name} qubit {q} outside 1..{self.n}")
+            t += g.name in NON_CLIFFORD_GATES
+        object.__setattr__(self, "t", t)
 
     @classmethod
     def from_ops(cls, n: int, *ops: tuple) -> "Circuit":
         """Circuit.from_ops(2, ("H", 1), ("CNOT", 1, 2))."""
         return cls(n, tuple(Gate(name.upper(), tuple(qs)) for name, *qs in ops))
-
-    @property
-    def t(self) -> int:
-        """Number of non-Clifford gates."""
-        return sum(g.name in NON_CLIFFORD_GATES for g in self.gates)
 
     @property
     def is_clifford(self) -> bool:

@@ -66,13 +66,8 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitParseError(f"line {lineno}: qubit count must be >= 1")
             continue
         name = tokens[0].upper()
-        arity = GATE_ARITY.get(name)
-        if arity is None:
+        if name not in GATE_ARITY:
             raise CircuitParseError(f"line {lineno}: unknown gate {tokens[0]!r}")
-        if len(tokens) - 1 != arity:
-            raise CircuitParseError(
-                f"line {lineno}: {name} takes {arity} qubit index(es)"
-            )
         try:
             qubits = tuple(int(tok) for tok in tokens[1:])
         except ValueError:
@@ -81,7 +76,7 @@ def parse_circuit(text: str) -> Circuit:
             if not 1 <= q <= n:
                 raise CircuitParseError(f"line {lineno}: qubit {q} outside 1..{n}")
         try:
-            gates.append(Gate(name, qubits))
+            gates.append(Gate(name, qubits))  # checks arity and distinct qubits
         except ValueError as exc:
             raise CircuitParseError(f"line {lineno}: {exc}") from None
     if n is None:

@@ -167,17 +167,6 @@ def entropy_bounds_from_group(
     return _raw_bounds(sub, cut)
 
 
-def _sample_bits(samples: np.ndarray, n: int) -> tuple[int, set[int]]:
-    """Count and dedupe packed samples from bell_difference_sample_bits."""
-    if not isinstance(samples, np.ndarray) or samples.dtype.kind not in "iu":
-        raise ValueError("samples must be a packed integer array")
-    distinct = {int(b) for b in np.unique(samples)}
-    limit = 1 << (2 * n)
-    if any(not 0 <= b < limit for b in distinct):
-        raise ValueError("sample bits out of range")
-    return int(samples.size), distinct
-
-
 def estimate_entropy(
     *,
     samples: np.ndarray | None = None,
@@ -210,10 +199,15 @@ def estimate_entropy(
     else:
         if params is None:
             raise ValueError("the sampled path needs EstimatorParams")
-        used, distinct = _sample_bits(samples, n)
+        if not isinstance(samples, np.ndarray) or samples.dtype.kind not in "iu":
+            raise ValueError("samples must be a packed integer array")
+        used = int(samples.size)
         need = required_sample_count(n, params.epsilon, params.delta)
         if used < need:
             raise ValueError(f"need at least {need} samples, got {used}")
+        # one uint64 per sample is a packed (m, 1) matrix; from_bit_rows
+        # checks its range
+        distinct = np.unique(samples)[:, None]
         sub = symplectic_complement(Subspace.from_bit_rows(n, distinct))
         # k above n is a vacuous promise; floor the promised dimension at 0.
         promised = max(n - params.k, 0)

@@ -1,24 +1,25 @@
 """Bit-packed linear algebra over F2^(2n) with the standard symplectic form.
 
-A length-2n binary vector is stored in a single Python int: the low n bits
-hold the X half, the high n bits the Z half, and qubit q (1-based) occupies
-bit ``n - q`` of each half. Python ints are word-backed bignums, so XOR, AND
-and popcount already run word-parallel; every row operation costs O(n/64)
-machine words and the symplectic product is one swap plus two AND/popcounts.
+A length-2n binary vector has two forms. At the API edge, a `SympVec` holds
+it in a single Python int: the low n bits hold the X half, the high n bits
+the Z half, and qubit q (1-based) occupies bit ``n - q`` of each half.
+Everywhere else a set of vectors is a packed uint64 matrix of shape
+(rows, words), in which bit j of a row sits in bit j % 64 of word j // 64
+(the layout of Gidney's Stim, Quantum 2021). Ints are packed once on the
+way in (`Subspace.from_bit_rows`, `span`) and unpacked only on the way out
+(`Subspace.basis`, `contains`, `elements`, `extract_symplectic_subspace`).
 
-Subspace bases are kept in reduced row-echelon form (pivot = lowest set bit,
-pivots strictly increasing), so two subspaces are equal iff their bases are
-equal, which keeps tests and reports deterministic.
+A `Subspace` holds its canonical RREF basis as such a matrix (pivot =
+lowest set bit, pivots strictly increasing), so two subspaces are equal iff
+their bases are equal, which keeps tests and reports deterministic.
 
-Elimination and the isotropy check leave Python ints for packed uint64
-matrices of shape (rows, words), in which bit j of a row sits in bit j % 64
-of word j // 64. One Gauss-Jordan kernel, `_eliminate`, reduces such a
-matrix a 64-column word at a time in the style of the Method of Four
-Russians (Albrecht, Bard & Hart, ACM TOMS 2010): the word's pivots come from
-its 64 bit columns, held as m-bit ints, and every row is then cleared with
-tables of all XOR combinations of 8 pivot rows, one gather and one XOR per
-table. A column mask says where pivots may fall, and the rows left without
-a pivot are zero on every allowed column:
+One Gauss-Jordan kernel, `_eliminate`, reduces a packed matrix a 64-column
+word at a time in the style of the Method of Four Russians (Albrecht, Bard
+& Hart, ACM TOMS 2010): the word's pivots come from its 64 bit columns,
+held as m-bit ints, and every row is then cleared with tables of all XOR
+combinations of 8 pivot rows, one gather and one XOR per table. A column
+mask says where pivots may fall, and the rows left without a pivot are zero
+on every allowed column:
 
 - all columns allowed: the pivot rows are the canonical RREF (`span`);
 - the columns outside a cut: the rows left span the members supported on
@@ -27,7 +28,9 @@ a pivot are zero on every allowed column:
   (`symplectic_complement`).
 
 The isotropy check is the Gram matrix of the symplectic form, a
-Four-Russians product of the basis with its half-swapped transpose.
+Four-Russians product of the basis with its half-swapped transpose, the
+same transpose whose kernel is the symplectic complement. `_transpose` is
+the one bit transpose; the tableau uses it too.
 """
 
 from __future__ import annotations
@@ -129,7 +132,7 @@ def _words(width: int) -> int:
 
 
 def _pack(rows: Iterable[int], words: int) -> np.ndarray:
-    """Int-packed rows as a writable (rows, words) uint64 matrix.
+    """Python-int rows as a writable (rows, words) uint64 matrix.
 
     Bit j of a row lands in bit j % 64 of word j // 64.
     """
@@ -145,10 +148,11 @@ def _pack(rows: Iterable[int], words: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").reshape(-1, words)
 
 
-def _unpack(mat: np.ndarray, order: Iterable[int]) -> list[int]:
-    """The given rows of a packed matrix back as Python ints."""
-    mat = mat.astype("<u8", copy=False)
-    return [int.from_bytes(mat[i].tobytes(), "little") for i in order]
+def _unpack(mat: np.ndarray) -> list[int]:
+    """The rows of a packed matrix back as Python ints."""
+    data = memoryview(np.ascontiguousarray(mat, dtype="<u8").view(np.uint8).reshape(-1))
+    size = 8 * mat.shape[1]
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 
 
 def _bit_columns(strip: np.ndarray) -> np.ndarray:
@@ -271,65 +275,123 @@ def _eliminate(mat: np.ndarray, allowed: int) -> list[int]:
     return order
 
 
-def _rref(rows: Iterable[int], width: int) -> list[int]:
-    """Canonical RREF of int-packed rows of `width` bits: pivot = lowest set
-    bit, pivots ascending, each pivot bit set in its own row alone."""
-    mat = _pack(rows, _words(width))
-    return _unpack(mat, _eliminate(mat, -1))
+def _identity(width: int) -> np.ndarray:
+    """The packed (width, words) identity: row j has bit j alone."""
+    out = np.zeros((width, _words(width)), dtype=np.uint64)
+    c = np.arange(width)
+    out[c, c // 64] = np.uint64(1) << (c % 64).astype(np.uint64)
+    return out
 
 
-@dataclass(frozen=True)
+def _swapped_transpose(rows: np.ndarray, n: int) -> np.ndarray:
+    """Bit transpose of packed rows over F2^(2n) with its X and Z rows
+    exchanged: row c holds coordinate (c + n) mod 2n of every input row, so
+    a vector's dot product with column i is its symplectic product with
+    rows[i]. Rows from 2n up are zero."""
+    t = _transpose(rows)
+    for lo in range(0, n, 64):  # a block at a time, so the copy stays small
+        hi = min(lo + 64, n)
+        x = t[lo:hi].copy()
+        t[lo:hi] = t[n + lo : n + hi]
+        t[n + lo : n + hi] = x
+    return t
+
+
+def _checked_rows(rows: Iterable[int] | np.ndarray, n: int) -> np.ndarray:
+    """A writable packed copy of rows over F2^(2n): Python ints, or an
+    integer (m, words) matrix. Rejects negative rows and any bit at or
+    above 2n, stray bits in the last word included."""
+    words = _words(2 * n)
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2 or rows.shape[1] != words or rows.dtype.kind not in "iu":
+            raise ValueError(f"packed rows for n={n} must be an integer (m, {words}) matrix")
+        if rows.dtype.kind == "i" and (rows < 0).any():
+            raise ValueError(f"row out of range for n={n}: negative")
+        mat = rows.astype(np.uint64)
+    else:
+        mat = _pack(rows, words)
+    stray = np.uint64(_WORD ^ ((1 << (2 * n - 64 * (words - 1))) - 1))
+    if (mat[:, -1] & stray).any():
+        raise ValueError(f"row out of range for n={n}: a bit at or above {2 * n}")
+    return mat
+
+
+@dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace of F2^(2n), held as a canonical RREF basis."""
+    """A subspace of F2^(2n), held as its canonical RREF basis.
+
+    `rows` is a read-only packed (rank, words) uint64 matrix: pivot = lowest
+    set bit, pivots ascending, each pivot bit set in its own row alone. So
+    two subspaces are equal iff their rows are. `from_bit_rows` and `span`
+    build one from arbitrary rows.
+    """
 
     n: int
-    basis: tuple[SympVec, ...]
+    rows: np.ndarray
 
     def __post_init__(self) -> None:
-        last_pivot = 0
-        for v in self.basis:
-            if v.n != self.n:
-                raise ValueError("basis vector has wrong qubit count")
-            if v.bits == 0:
-                raise ValueError("zero vector in basis")
-            pivot = v.bits & -v.bits
-            if pivot <= last_pivot:
-                raise ValueError("basis is not in canonical RREF order")
-            last_pivot = pivot
+        rows = self.rows
+        if self.n < 1:
+            raise ValueError(f"qubit count must be positive, got {self.n}")
+        words = _words(2 * self.n)
+        if not isinstance(rows, np.ndarray) or rows.dtype != np.uint64 or rows.shape[1:] != (words,):
+            raise ValueError(f"basis must be a packed (rank, {words}) uint64 matrix")
+        nonzero = rows != 0
+        if not nonzero.any(axis=1).all():
+            raise ValueError("zero vector in basis")
+        first = nonzero.argmax(axis=1)
+        word = rows[np.arange(len(rows)), first]
+        pivots = 64 * first + np.bitwise_count((word & (~word + np.uint64(1))) - np.uint64(1))
+        if (np.diff(pivots) <= 0).any():
+            raise ValueError("basis is not in canonical RREF order")
+        rows.flags.writeable = False
 
     @classmethod
-    def from_bit_rows(cls, n: int, rows: Iterable[int]) -> "Subspace":
-        return cls(n, tuple(SympVec(n, r) for r in _rref(rows, 2 * n)))
+    def from_bit_rows(cls, n: int, rows: Iterable[int] | np.ndarray) -> "Subspace":
+        """Span of rows given as Python ints (SympVec.bits values) or as a
+        packed integer (m, words) matrix, which is left unchanged."""
+        mat = _checked_rows(rows, n)
+        return cls(n, mat[_eliminate(mat, -1)])
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(n, ())
+        return cls(n, np.zeros((0, _words(2 * n)), dtype=np.uint64))
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(n, tuple(SympVec(n, 1 << j) for j in range(2 * n)))
+        return cls(n, _identity(2 * n))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.rows, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows.tobytes()))
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    def bit_rows(self) -> list[int]:
-        return [v.bits for v in self.basis]
+    @property
+    def basis(self) -> tuple[SympVec, ...]:
+        """The RREF rows as SympVec, in pivot order."""
+        return tuple(SympVec(self.n, r) for r in _unpack(self.rows))
 
     def contains(self, v: SympVec) -> bool:
         if v.n != self.n:
             raise ValueError("qubit count mismatch")
         bits = v.bits
-        for r in self.basis:  # RREF: clear each pivot (lowest bit) in turn
-            if bits & r.bits & -r.bits:
-                bits ^= r.bits
+        for r in _unpack(self.rows):  # RREF: clear each pivot (lowest bit) in turn
+            if bits & r & -r:
+                bits ^= r
         return bits == 0
 
     __contains__ = contains
 
     def elements(self) -> Iterator[SympVec]:
         """All 2^rank members, by Gray-code walk over the basis."""
-        rows = self.bit_rows()
+        rows = _unpack(self.rows)
         cur = 0
         yield SympVec(self.n, 0)
         for i in range(1, 1 << len(rows)):
@@ -352,41 +414,33 @@ def span(vectors: Iterable[SympVec], n: int | None = None) -> Subspace:
     return Subspace.from_bit_rows(n, (v.bits for v in vecs))
 
 
-def _kernel_basis(rows: list[int], width: int) -> list[int]:
-    """Basis of {x : parity(r & x) = 0 for every r in rows}.
+def _kernel_basis(at: np.ndarray, width: int) -> np.ndarray:
+    """Packed basis of {x : A x = 0}, given A^T as `width` packed rows.
 
     Row c of the matrix [I | A^T] pairs the unit vector e_c with column c of
     A. Eliminating with pivots only in the A^T part leaves width - rank(A)
     rows that are zero there, and the identity part x of each has A x = 0.
     """
     words = _words(width)
-    a = _transpose(_pack(rows, words))[:width]
-    aug = np.zeros((width, words + a.shape[1]), dtype=np.uint64)
-    c = np.arange(width)
-    aug[c, c // 64] = np.uint64(1) << (c % 64).astype(np.uint64)
-    aug[:, words:] = a
+    aug = np.concatenate((_identity(width), at), axis=1)
     pivots = set(_eliminate(aug, -1 << (64 * words)))
-    return _unpack(aug[:, :words], (i for i in range(width) if i not in pivots))
+    return aug[[i for i in range(width) if i not in pivots], :words]
 
 
 def symplectic_complement(t: Subspace) -> Subspace:
-    """T-perp = {x : [v, x] = 0 for all v in T}.
-
-    [v, x] equals the plain dot product of x with v's halves swapped, so the
-    complement is the kernel of the half-swapped basis matrix.
-    """
+    """T-perp = {x : [v, x] = 0 for all v in T}: the kernel of the basis
+    matrix with its halves swapped."""
     n = t.n
-    mask = (1 << n) - 1
-    swapped = [((r & mask) << n) | (r >> n) for r in t.bit_rows()]
-    return Subspace.from_bit_rows(n, _kernel_basis(swapped, 2 * n))
+    at = _swapped_transpose(t.rows, n)[: 2 * n]
+    return Subspace.from_bit_rows(n, _kernel_basis(at, 2 * n))
 
 
 def restrict_to_cut(s: Subspace, side: Iterable[int]) -> Subspace:
     """Members of s supported only on the given qubits.
 
-    One elimination over the full basis rows, pivoting only on coordinates
-    outside `side`: the rows left without a pivot are zero there, and they
-    are a basis of the restriction.
+    One elimination over a copy of the basis rows, pivoting only on
+    coordinates outside `side`: the rows left without a pivot are zero
+    there, and they are a basis of the restriction.
     """
     n = s.n
     qubits = set(side)
@@ -395,12 +449,11 @@ def restrict_to_cut(s: Subspace, side: Iterable[int]) -> Subspace:
     keep = 0
     for q in qubits:
         keep |= (1 << (n - q)) | (1 << (2 * n - q))
-    mat = _pack(s.bit_rows(), _words(2 * n))
+    mat = s.rows.copy()
     pivots = _eliminate(mat, ((1 << (2 * n)) - 1) & ~keep)
     # the rows left are zero outside `keep`, so their RREF pivots lie in it
     inside = np.delete(mat, pivots, axis=0)
-    rows = _unpack(inside, _eliminate(inside, keep))
-    return Subspace(n, tuple(SympVec(n, r) for r in rows))
+    return Subspace(n, inside[_eliminate(inside, keep)])
 
 
 def is_isotropic(s: Subspace) -> bool:
@@ -411,15 +464,9 @@ def is_isotropic(s: Subspace) -> bool:
     column words that starts at column j0 is taken against rows i >= j0
     only.
     """
-    m, n = s.rank, s.n
-    g = _pack(s.bit_rows(), _words(2 * n))
-    swapped = _transpose(g)
-    for lo in range(0, n, 64):  # exchange the X and Z rows, a block at a time
-        hi = min(lo + 64, n)
-        x = swapped[lo:hi].copy()
-        swapped[lo:hi] = swapped[n + lo : n + hi]
-        swapped[n + lo : n + hi] = x
-    coeffs = g.view(np.uint8).T
+    m = s.rank
+    swapped = _swapped_transpose(s.rows, s.n)
+    coeffs = s.rows.view(np.uint8).T
     words = swapped.shape[1]
     width = max(1, _ISOTROPY_BLOCK_BYTES // (8 * max(m, 1)))
     for a in range(0, words, width):
@@ -445,31 +492,19 @@ def extract_symplectic_subspace(
     subspace, at least dim(s) - v pairs come back.
     """
     n = s.n
-    work = s.bit_rows()
     pairs: list[tuple[SympVec, SympVec]] = []
     while True:
-        hit = None
-        for e in work:
-            for f in work:
-                if _product_bits(e, f, n):
-                    hit = (e, f)
-                    break
-            if hit:
-                break
+        work = _unpack(s.rows)
+        hit = next(((e, f) for e in work for f in work if _product_bits(e, f, n)), None)
         if hit is None:
-            break
+            return pairs, s
         e, f = hit
         pairs.append((SympVec(n, e), SympVec(n, f)))
-        projected = []
-        for v in work:
-            w = v
-            if _product_bits(v, e, n):
-                w ^= f
-            if _product_bits(v, f, n):
-                w ^= e
-            projected.append(w)
-        work = _rref(projected, 2 * n)
-    return pairs, Subspace(n, tuple(SympVec(n, r) for r in work))
+        projected = [
+            v ^ (f if _product_bits(v, e, n) else 0) ^ (e if _product_bits(v, f, n) else 0)
+            for v in work
+        ]
+        s = Subspace.from_bit_rows(n, projected)
 
 
 @dataclass(frozen=True)

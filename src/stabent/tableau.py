@@ -2,21 +2,19 @@
 
 During the gate loop the tableau stores one n-bit column per qubit per half
 (X and Z), packed in Python ints over the generator index, so each gate is an
-O(n)-bit column update. One blocked, vectorized transpose
-(`np.unpackbits`/`np.packbits` on a bounded block of generators at a time)
-then turns the 2n columns into the n packed generator rows. Signs are tracked
-through every gate with the textbook update rules but nothing downstream
-consumes them: the unsigned stabilizer group is all the estimator needs.
+O(n)-bit column update. The 2n columns are then packed into a uint64 matrix
+once, and `symplectic._transpose`, one word column at a time, turns them into
+the n generator rows. Signs are tracked through every gate with the textbook
+update rules but nothing downstream consumes them: the unsigned stabilizer
+group is all the estimator needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .circuits import Circuit
-from .symplectic import SympVec, span
+from .symplectic import SympVec, _pack, _transpose, _unpack, _words, span
 from .weyl import StabilizerGroupEstimate
 
 __all__ = [
@@ -25,11 +23,6 @@ __all__ = [
     "simulate_clifford",
     "weyl_group_from_tableau",
 ]
-
-# Bytes of unpacked bits per transpose block: the block holds 2n columns by
-# this many // 2n generators, so temporaries stay small at any n.
-_TRANSPOSE_BLOCK_BYTES = 1 << 18
-
 
 @dataclass(frozen=True)
 class Tableau:
@@ -89,29 +82,9 @@ def simulate_clifford(c: Circuit) -> Tableau:
         else:
             raise ValueError(f"unknown Clifford gate {g.name!r}")
     # Row bit c is qubit n - c of the X half for c < n, of the Z half above.
-    rows = _transpose(x[n:0:-1] + z[n:0:-1], n)
+    rows = _unpack(_transpose(_pack(x[n:0:-1] + z[n:0:-1], _words(n)))[:n])
     signs = tuple((s >> i) & 1 for i in range(n))
     return Tableau(n, tuple(SympVec(n, r) for r in rows), signs)
-
-
-def _transpose(cols: list[int], count: int) -> list[int]:
-    """Bit matrix transpose: row i has bit c set iff cols[c] has bit i set.
-
-    Works on blocks of generators so that the unpacked bits never take more
-    than about _TRANSPOSE_BLOCK_BYTES.
-    """
-    step = max(8, _TRANSPOSE_BLOCK_BYTES // len(cols) // 8 * 8)
-    rows: list[int] = []
-    for start in range(0, count, step):
-        size = min(step, count - start)
-        nbytes = (size + 7) // 8
-        mask = (1 << size) - 1
-        packed = b"".join(((c >> start) & mask).to_bytes(nbytes, "little") for c in cols)
-        block = np.frombuffer(packed, dtype=np.uint8).reshape(len(cols), nbytes)
-        bits = np.unpackbits(block, axis=1, count=size, bitorder="little")
-        out = np.packbits(bits.T, axis=1, bitorder="little")
-        rows.extend(int.from_bytes(r.tobytes(), "little") for r in out)
-    return rows
 
 
 def weyl_group_from_tableau(t: Tableau) -> StabilizerGroupEstimate:

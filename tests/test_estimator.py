@@ -148,7 +148,7 @@ def test_bounds_monotone_in_group():
             if not candidates:
                 break
             pick = candidates[int(rng.integers(len(candidates)))]
-            sub = Subspace.from_bit_rows(n, sub.bit_rows() + [pick.bits])
+            sub = Subspace.from_bit_rows(n, [v.bits for v in sub.basis] + [pick.bits])
             cur = entropy_bounds_from_group(sub, cut)
             assert cur[0] >= prev[0]  # lower never decreases
             assert cur[1] <= prev[1]  # upper never increases

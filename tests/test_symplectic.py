@@ -14,8 +14,10 @@ import helpers
 from stabent import symplectic
 from stabent import (
     Cut,
+    StabilizerGroupEstimate,
     Subspace,
     SympVec,
+    estimate_entropy,
     extract_symplectic_subspace,
     from_pauli_string,
     is_isotropic,
@@ -116,7 +118,8 @@ def _structured_rows(rng: np.random.Generator, width: int, kind: str) -> list[in
 @example(n=64, seed=2, kind="sparse")  # 2n = 128: exactly two words
 def test_span_equals_dense_rref(n, seed, kind):
     rows = _structured_rows(np.random.default_rng(seed), 2 * n, kind)
-    assert Subspace.from_bit_rows(n, rows).bit_rows() == helpers.dense_gf2_rref(rows, 2 * n)
+    basis = Subspace.from_bit_rows(n, rows).basis
+    assert [v.bits for v in basis] == helpers.dense_gf2_rref(rows, 2 * n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -129,7 +132,7 @@ def test_complement_rank_and_orthogonality(n, seed, kind):
     sub = Subspace.from_bit_rows(n, _structured_rows(np.random.default_rng(seed), 2 * n, kind))
     comp = symplectic_complement(sub)
     assert sub.rank + comp.rank == 2 * n
-    assert helpers.dense_gf2_rank(comp.bit_rows(), 2 * n) == comp.rank
+    assert helpers.dense_gf2_rank([v.bits for v in comp.basis], 2 * n) == comp.rank
     for v in comp.basis:
         assert all(symplectic_product(v, w) == 0 for w in sub.basis)
 
@@ -146,10 +149,13 @@ def test_rref_and_kernel_at_word_boundaries(width):
         [helpers.rand_bits(rng, width) for _ in range(width + 5)],
     ]
     cases += [_structured_rows(rng, width, kind) for kind in ("dense", "low-rank", "sparse")]
+    words = (width + 63) // 64
     for rows in cases:
         want = helpers.dense_gf2_rref(rows, width)
-        assert symplectic._rref(rows, width) == want
-        kernel = symplectic._kernel_basis(rows, width)
+        mat = symplectic._pack(rows, words)
+        assert symplectic._unpack(mat[symplectic._eliminate(mat, -1)]) == want
+        at = symplectic._transpose(symplectic._pack(rows, words))[:width]
+        kernel = symplectic._unpack(symplectic._kernel_basis(at, width))
         assert len(kernel) == width - len(want)
         assert helpers.dense_gf2_rank(kernel, width) == len(kernel)
         assert all((r & x).bit_count() % 2 == 0 for r in rows for x in kernel)
@@ -176,6 +182,45 @@ def test_span_and_restrict_peak_memory_is_small():
     assert sub.rank == n
     assert span_peak <= 3 * packed
     assert cut_peak <= 3 * packed
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33])
+def test_from_bit_rows_rejects_a_bit_just_past_2n(n):
+    # bit 2n is a stray bit inside the last word at n = 1, 31 and 33, and
+    # starts a word of its own at n = 32; ints and packed rows share one check
+    words = (2 * n + 63) // 64
+    top = (1 << (2 * n)) - 1
+    assert Subspace.from_bit_rows(n, [top]).rank == 1
+    for rows in ([1 << (2 * n)], [1, top | (1 << (2 * n))], [-1]):
+        with pytest.raises(ValueError, match="out of range"):
+            Subspace.from_bit_rows(n, rows)
+        if all(0 <= r < 1 << (64 * words) for r in rows):
+            with pytest.raises(ValueError, match="out of range"):
+                Subspace.from_bit_rows(n, symplectic._pack(rows, words))
+    with pytest.raises(ValueError, match="out of range"):
+        Subspace.from_bit_rows(n, np.full((2, words), -1, dtype=np.int64))
+
+
+def test_kernels_leave_their_inputs_unchanged():
+    n = 70
+    rng = np.random.default_rng(30)
+    es, _ = helpers.random_symplectic_basis(n, n, rng)
+    packed = symplectic._pack(es[:50] + es[:5], 3)
+    before = packed.tobytes()
+    sub = Subspace.from_bit_rows(n, packed)
+    assert packed.tobytes() == before
+    assert not sub.rows.flags.writeable
+    with pytest.raises(ValueError):
+        sub.rows[0, 0] = 0
+    rows = sub.rows.tobytes()
+    cut = Cut(n, frozenset(range(1, 36)))
+    restrict_to_cut(sub, cut.a)
+    restrict_to_cut(sub, cut.b)
+    symplectic_complement(sub)
+    assert is_isotropic(sub)
+    estimate_entropy(group=StabilizerGroupEstimate(sub, "tableau"), cut=cut)
+    assert sub.rows.tobytes() == rows
+    assert sub == Subspace.from_bit_rows(n, es[:50])
 
 
 def test_span_canonical_equality():
@@ -257,7 +302,7 @@ def test_restrict_rank_matches_dense_rank(n, side_bits, seed):
     for q in set(range(1, n + 1)) - side:
         forbidden |= from_pauli_string("I" * (q - 1) + "Y" + "I" * (n - q)).bits
     got = restrict_to_cut(sub, side)
-    cut_rows = [r & forbidden for r in sub.bit_rows()]
+    cut_rows = [v.bits & forbidden for v in sub.basis]
     assert got.rank == sub.rank - helpers.dense_gf2_rank(cut_rows, 2 * n)
     for v in got.basis:
         assert v in sub
