@@ -24,7 +24,6 @@ from .estimator import (
     EstimatorParams,
     binary_entropy,
     default_epsilon,
-    entropy_bounds_from_group,
     estimate_entropy,
     required_sample_count,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "default_epsilon",
     "distinguish",
     "entanglement_entropy_oracle",
-    "entropy_bounds_from_group",
     "estimate_entropy",
     "extract_symplectic_subspace",
     "from_pauli_string",

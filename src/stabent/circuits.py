@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-CLIFFORD_GATES = frozenset({"H", "S", "CNOT", "X", "Y", "Z"})
 NON_CLIFFORD_GATES = frozenset({"T", "TDG"})
 GATE_ARITY = {
     "H": 1, "S": 1, "X": 1, "Y": 1, "Z": 1, "T": 1, "TDG": 1, "CNOT": 2,
@@ -15,36 +14,42 @@ GATE_ARITY = {
 
 @dataclass(frozen=True)
 class Gate:
+    """One gate: a name and its 1-based qubits. `Circuit` checks both."""
+
     name: str
     qubits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        arity = GATE_ARITY.get(self.name)
-        if arity is None:
-            raise ValueError(f"unknown gate {self.name!r}")
-        if len(self.qubits) != arity:
-            raise ValueError(f"{self.name} takes {arity} qubit(s), got {self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"{self.name} qubits must be distinct: {self.qubits}")
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list on qubits 1..n; T/TDG are the non-Clifford gates."""
+    """An ordered gate list on qubits 1..n; T/TDG are the non-Clifford gates.
+
+    This is the one place a gate is checked: a known name, its arity,
+    distinct qubits, each in 1..n.
+    """
 
     n: int
     gates: tuple[Gate, ...]
     t: int = field(init=False, repr=False, compare=False)  # non-Clifford gates
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValueError("qubit count must be positive")
         t = 0
         for g in self.gates:
-            for q in g.qubits:
-                if not 1 <= q <= self.n:
-                    raise ValueError(f"{g.name} qubit {q} outside 1..{self.n}")
-            t += g.name in NON_CLIFFORD_GATES
+            name, qubits = g.name, g.qubits
+            arity = GATE_ARITY.get(name)
+            if arity is None:
+                raise ValueError(f"unknown gate {name!r}")
+            if len(qubits) != arity:
+                raise ValueError(f"{name} takes {arity} qubit(s), got {qubits}")
+            for q in qubits:
+                if not 1 <= q <= n:
+                    raise ValueError(f"{name} qubit {q} outside 1..{n}")
+            if arity > 1 and len(set(qubits)) != arity:
+                raise ValueError(f"{name} qubits must be distinct: {qubits}")
+            t += name in NON_CLIFFORD_GATES
         object.__setattr__(self, "t", t)
 
     @classmethod
@@ -60,20 +65,31 @@ class Circuit:
 _1Q_CLIFFORD = ("H", "S", "X", "Y", "Z")
 
 
+def _random_clifford_gates(
+    qubits: tuple[int, ...], rng: np.random.Generator, count: int
+) -> list[Gate]:
+    """`count` random gates over {H, S, CNOT, X, Y, Z} on the given qubits;
+    CNOT-heavy for mixing."""
+    m = len(qubits)
+    gates = []
+    for _ in range(count):
+        if m > 1 and rng.random() < 0.4:
+            a, b = rng.choice(m, size=2, replace=False)
+            gates.append(Gate("CNOT", (qubits[a], qubits[b])))
+        else:
+            name = _1Q_CLIFFORD[int(rng.integers(len(_1Q_CLIFFORD)))]
+            gates.append(Gate(name, (qubits[int(rng.integers(m))],)))
+    return gates
+
+
 def random_clifford_circuit(
     n: int, rng: np.random.Generator, n_gates: int | None = None
 ) -> Circuit:
-    """Random circuit over {H, S, CNOT, X, Y, Z}; CNOT-heavy for mixing."""
+    """Random circuit over {H, S, CNOT, X, Y, Z} on all n qubits, 10n gates
+    unless n_gates is given."""
     if n_gates is None:
         n_gates = 10 * n
-    gates = []
-    for _ in range(n_gates):
-        if n > 1 and rng.random() < 0.4:
-            a, b = rng.choice(n, size=2, replace=False) + 1
-            gates.append(Gate("CNOT", (int(a), int(b))))
-        else:
-            name = _1Q_CLIFFORD[int(rng.integers(len(_1Q_CLIFFORD)))]
-            gates.append(Gate(name, (int(rng.integers(n)) + 1,)))
+    gates = _random_clifford_gates(tuple(range(1, n + 1)), rng, n_gates)
     return Circuit(n, tuple(gates))
 
 

@@ -8,6 +8,10 @@ Circuit file grammar (1-based qubit indices, `#` starts a comment):
 Clifford circuits run on the tableau backend at any n; every other circuit
 runs on the dense backend, which refuses more than DEFAULT_DENSE_CAP qubits.
 
+`estimate` checks its input in this order: the file and the cut (exit 2),
+the dense cap (exit 3), the run settings --epsilon, --delta and --k/--t in
+one EstimatorParams (exit 2), and only then simulates and estimates.
+
 Exit codes: 0 ok, 2 parse/config error, 3 dense cap exceeded,
 4 promise violation, 5 internal fault (a broken runtime invariant).
 """
@@ -20,11 +24,10 @@ import sys
 
 import numpy as np
 
-from .circuits import GATE_ARITY, Circuit, Gate
+from .circuits import Circuit, Gate
 from .distinguisher import bell_pair_ensemble, distinguish, magic_product_ensemble
 from .estimator import (
     EstimatorParams,
-    _validate_epsilon_delta,
     default_epsilon,
     estimate_entropy,
     required_sample_count,
@@ -37,7 +40,7 @@ from .statevector import (
 )
 from .symplectic import Cut, to_pauli_string
 from .tableau import simulate_clifford, weyl_group_from_tableau
-from .weyl import CapExceededError, StabilizerGroupEstimate, weyl_group_oracle
+from .weyl import CapExceededError, weyl_group_oracle
 
 __all__ = ["CircuitParseError", "format_circuit", "main", "parse_circuit"]
 
@@ -46,10 +49,32 @@ class CircuitParseError(ValueError):
     """Malformed circuit file or run configuration (exit code 2)."""
 
 
+def _circuit_at(lineno: int, n: int, gates: tuple[Gate, ...]) -> Circuit:
+    try:
+        return Circuit(n, gates)
+    except ValueError as exc:
+        raise CircuitParseError(f"line {lineno}: {exc}") from None
+
+
+def _circuit(n: int, gates: list[Gate], linenos: list[int]) -> Circuit:
+    """Circuit(n, gates); a rejected gate is re-checked alone for its line."""
+    try:
+        return Circuit(n, tuple(gates))
+    except ValueError:
+        for lineno, gate in zip(linenos, gates):
+            _circuit_at(lineno, n, (gate,))
+        raise
+
+
 def parse_circuit(text: str) -> Circuit:
-    """Parse the circuit file grammar above into a Circuit."""
+    """Parse the circuit file grammar above into a Circuit.
+
+    The parser checks the grammar only; `Circuit` checks the gates, and its
+    error is reported at the first line it rejects.
+    """
     n: int | None = None
     gates: list[Gate] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -62,26 +87,18 @@ def parse_circuit(text: str) -> Circuit:
                 n = int(tokens[1])
             except ValueError:
                 raise CircuitParseError(f"line {lineno}: bad qubit count") from None
-            if n < 1:
-                raise CircuitParseError(f"line {lineno}: qubit count must be >= 1")
+            _circuit_at(lineno, n, ())
             continue
-        name = tokens[0].upper()
-        if name not in GATE_ARITY:
-            raise CircuitParseError(f"line {lineno}: unknown gate {tokens[0]!r}")
         try:
             qubits = tuple(int(tok) for tok in tokens[1:])
         except ValueError:
+            _circuit(n, gates, linenos)  # an earlier bad gate is reported first
             raise CircuitParseError(f"line {lineno}: bad qubit index") from None
-        for q in qubits:
-            if not 1 <= q <= n:
-                raise CircuitParseError(f"line {lineno}: qubit {q} outside 1..{n}")
-        try:
-            gates.append(Gate(name, qubits))  # checks arity and distinct qubits
-        except ValueError as exc:
-            raise CircuitParseError(f"line {lineno}: {exc}") from None
+        gates.append(Gate(tokens[0].upper(), qubits))
+        linenos.append(lineno)
     if n is None:
         raise CircuitParseError("missing 'qubits N' header")
-    return Circuit(n, tuple(gates))
+    return _circuit(n, gates, linenos)
 
 
 def format_circuit(c: Circuit) -> str:
@@ -112,14 +129,10 @@ def _parse_cut(text: str, n: int) -> Cut:
 
 def _resolve_k(args, circuit: Circuit) -> int:
     if args.k is not None:
-        k = args.k
-    elif args.t is not None:
-        k = 2 * args.t
-    else:
-        k = 2 * circuit.t  # stabilizer dimension is at least n - 2t
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    return k
+        return args.k
+    if args.t is not None:
+        return 2 * args.t
+    return 2 * circuit.t  # stabilizer dimension is at least n - 2t
 
 
 def _emit(record: dict, output: str | None) -> None:
@@ -130,38 +143,27 @@ def _emit(record: dict, output: str | None) -> None:
             fh.write(text)
 
 
-def _route(circuit: Circuit) -> tuple[str, StabilizerGroupEstimate | None]:
-    """(backend, exact group or None), chosen by the circuit.
-
-    A Clifford circuit goes to the tableau, which returns the exact group;
-    any other goes to the dense backend, which returns None and leaves the
-    state to the caller.
-    """
-    if circuit.is_clifford:
-        return "tableau", weyl_group_from_tableau(simulate_clifford(circuit))
-    return "dense", None
-
-
 def _cmd_estimate(args) -> int:
     circuit = _load_circuit(args.circuit)
     cut = _parse_cut(args.cut, circuit.n)
-    k = _resolve_k(args, circuit)
+    # The circuit picks the backend. simulate_circuit enforces the dense cap
+    # (exit 3), so it runs before the run settings are checked (exit 2).
+    psi = None if circuit.is_clifford else simulate_circuit(circuit)
     epsilon = args.epsilon
     if epsilon is None:
         epsilon = default_epsilon(circuit.n) if circuit.n >= 2 else 0.25
     delta = args.delta
-    backend, group = _route(circuit)
-    if group is not None:
-        # The exact group draws no samples, but bad sampling settings are
-        # still a config error, as on the dense backend.
-        _validate_epsilon_delta(epsilon, delta)
+    k = _resolve_k(args, circuit)
+    params = EstimatorParams(epsilon=epsilon, delta=delta, k=k, seed=args.seed)
+    if psi is None:
+        # The exact group draws no samples; its settings are checked anyway.
+        backend = "tableau"
+        group = weyl_group_from_tableau(simulate_clifford(circuit))
         report = estimate_entropy(group=group, cut=cut)
         epsilon = delta = None
     else:
-        # The cap (exit 3) is checked before the sampling settings (exit 2),
-        # and the sample count before anything is drawn.
-        psi = simulate_circuit(circuit)
-        params = EstimatorParams(epsilon=epsilon, delta=delta, k=k, seed=args.seed)
+        # The sample count is checked before anything is drawn.
+        backend = "dense"
         count = required_sample_count(circuit.n, epsilon, delta)
         dist = characteristic_distribution(psi)
         rng = np.random.default_rng(args.seed)
@@ -205,9 +207,10 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_weyl(args) -> int:
     circuit = _load_circuit(args.circuit)
-    backend, group = _route(circuit)
-    if group is None:
-        group = weyl_group_oracle(simulate_circuit(circuit))
+    if circuit.is_clifford:
+        backend, group = "tableau", weyl_group_from_tableau(simulate_clifford(circuit))
+    else:
+        backend, group = "dense", weyl_group_oracle(simulate_circuit(circuit))
     _emit(
         {
             "dim": group.dim,

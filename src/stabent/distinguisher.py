@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circuits import Circuit, Gate
+from .circuits import Circuit, Gate, _random_clifford_gates
 from .estimator import (
     BoundReport,
     EstimatorParams,
@@ -73,23 +73,6 @@ class DistinguisherResult:
         return out
 
 
-def _local_clifford_gates(
-    qubits: tuple[int, ...], rng: np.random.Generator, count: int
-) -> list[Gate]:
-    """Random Clifford gates confined to the given qubits (entropy-neutral
-    with respect to any cut that contains them on one side)."""
-    names = ("H", "S", "X", "Y", "Z")
-    gates = []
-    for _ in range(count):
-        if len(qubits) > 1 and rng.random() < 0.4:
-            a, b = rng.choice(len(qubits), size=2, replace=False)
-            gates.append(Gate("CNOT", (qubits[a], qubits[b])))
-        else:
-            name = names[int(rng.integers(len(names)))]
-            gates.append(Gate(name, (qubits[int(rng.integers(len(qubits)))],)))
-    return gates
-
-
 def bell_pair_ensemble(n: int) -> EnsembleSpec:
     """n/2 Bell pairs across the half cut, scrambled by cut-local Cliffords.
 
@@ -106,8 +89,8 @@ def bell_pair_ensemble(n: int) -> EnsembleSpec:
         for q in range(1, half + 1):
             gates.append(Gate("H", (q,)))
             gates.append(Gate("CNOT", (q, q + half)))
-        gates += _local_clifford_gates(a_side, rng, 4 * half)
-        gates += _local_clifford_gates(b_side, rng, 4 * half)
+        gates += _random_clifford_gates(a_side, rng, 4 * half)
+        gates += _random_clifford_gates(b_side, rng, 4 * half)
         return Circuit(n, tuple(gates))
 
     return EnsembleSpec("bell-pairs", 0, float(half), make)
@@ -131,8 +114,8 @@ def magic_product_ensemble(n: int, t: int = 1) -> EnsembleSpec:
             q = a_side[int(rng.integers(half))]
             gates.append(Gate("H", (q,)))
             gates.append(Gate("T", (q,)))
-        gates += _local_clifford_gates(a_side, rng, 4 * half)
-        gates += _local_clifford_gates(b_side, rng, 4 * half)
+        gates += _random_clifford_gates(a_side, rng, 4 * half)
+        gates += _random_clifford_gates(b_side, rng, 4 * half)
         return Circuit(n, tuple(gates))
 
     return EnsembleSpec("magic-product", t, 0.0, make)
@@ -171,6 +154,7 @@ def distinguish(
     if trials < 1:
         raise ValueError("need at least one trial")
     eps = default_epsilon(n) if epsilon is None else epsilon
+    params = EstimatorParams(epsilon=eps, delta=delta, k=2 * t_prime, seed=seed)
     count = required_sample_count(n, eps, delta)
     rng = np.random.default_rng(seed)
 
@@ -186,7 +170,6 @@ def distinguish(
         psi = simulate_circuit(circuit)
         dist = characteristic_distribution(psi)
         bits = bell_difference_sample_bits(dist, rng, count)
-        params = EstimatorParams(epsilon=eps, delta=delta, k=2 * t_prime, seed=seed)
         report = estimate_entropy(samples=bits, cut=cut, params=params)
         in_high = report.lower <= f_level <= report.upper
         if not report.promise_violated:

@@ -23,7 +23,7 @@ import numpy as np
 from .symplectic import (
     Cut,
     Subspace,
-    is_isotropic,
+    is_isotropic,  # noqa: F401  unused; perfbench/run.py wraps it at this name
     restrict_to_cut,
     symplectic_complement,
 )
@@ -35,7 +35,6 @@ __all__ = [
     "MAX_SAMPLE_COUNT",
     "binary_entropy",
     "default_epsilon",
-    "entropy_bounds_from_group",
     "estimate_entropy",
     "required_sample_count",
 ]
@@ -143,30 +142,6 @@ class BoundReport:
         }
 
 
-def _raw_bounds(sub: Subspace, cut: Cut) -> tuple[float, float]:
-    """Both orientations of the dimension-counting bounds, no isotropy check."""
-    if sub.n != cut.n:
-        raise ValueError(f"subspace over {sub.n} qubits, cut over {cut.n}")
-    dim_a = restrict_to_cut(sub, cut.a).rank
-    dim_b = restrict_to_cut(sub, cut.b).rank
-    d = sub.rank
-    na = len(cut.a)
-    nb = cut.n - na
-    upper = min(na - dim_a, nb - dim_b)
-    lower = max(d - dim_b - na, d - dim_a - nb, 0)
-    return float(lower), float(upper)
-
-
-def entropy_bounds_from_group(
-    group: StabilizerGroupEstimate | Subspace, cut: Cut
-) -> tuple[float, float]:
-    """(lower, upper) entropy bounds in bits from an isotropic group."""
-    sub = group.subspace if isinstance(group, StabilizerGroupEstimate) else group
-    if not is_isotropic(sub):
-        raise ValueError("entropy bounds need an isotropic group")
-    return _raw_bounds(sub, cut)
-
-
 def estimate_entropy(
     *,
     samples: np.ndarray | None = None,
@@ -218,16 +193,18 @@ def estimate_entropy(
             else params.epsilon * n + binary_entropy(params.epsilon)
         )
 
-    lower_raw, upper_raw = _raw_bounds(sub, cut)
-    cap = float(min(len(cut.a), n - len(cut.a)))  # entropy lives in [0, min(|A|,|B|)]
-    upper = min(upper_raw + r, cap)
-    lower = max(lower_raw - r, 0.0)
+    dim_a = restrict_to_cut(sub, cut.a).rank
+    dim_b = restrict_to_cut(sub, cut.b).rank
+    na, nb, d = len(cut.a), n - len(cut.a), sub.rank
+    # r widens both counting bounds; entropy lives in [0, min(|A|, |B|)]
+    upper = min(min(na - dim_a, nb - dim_b) + r, float(min(na, nb)))
+    lower = max(d - dim_b - na - r, d - dim_a - nb - r, 0.0)
     lower = min(lower, upper)
     return BoundReport(
         lower=lower,
         upper=upper,
         estimate=(lower + upper) / 2.0,
-        dim_s=sub.rank,
+        dim_s=d,
         r=r,
         samples_used=used,
         cut=cut,

@@ -91,10 +91,6 @@ class SympVec:
         """Z-half coordinate on qubit q (1-based)."""
         return (self.bits >> (2 * self.n - q)) & 1
 
-    @property
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
     def support(self) -> tuple[int, ...]:
         """Qubits on which either coordinate is nonzero, ascending."""
         return tuple(q for q in range(1, self.n + 1) if self.a(q) or self.b(q))

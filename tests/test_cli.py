@@ -59,7 +59,23 @@ def test_parse_roundtrip_random():
     ],
 )
 def test_parse_errors(text):
-    with pytest.raises(CircuitParseError):
+    # Each case breaks its last line: the header or its one gate.
+    last = text.count("\n")
+    with pytest.raises(CircuitParseError, match=f"^line {last}: "):
+        parse_circuit(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("qubits 3\nH 1\n# comment\n\nCNOT 1 2\nH 4\nCNOT 3 3\n",
+         r"^line 6: H qubit 4 outside 1\.\.3$"),
+        # a bad gate before a bad token is still the first error
+        ("qubits 3\nH 1\nFOO 2\nH x\n", r"^line 3: unknown gate 'FOO'$"),
+    ],
+)
+def test_parse_error_names_the_first_bad_line(text, message):
+    with pytest.raises(CircuitParseError, match=message):
         parse_circuit(text)
 
 
@@ -104,8 +120,9 @@ def test_estimate_cap_exit_3(tmp_path, capsys):
     "argv",
     [
         ["weyl", "{wide}"],
-        # the cap is checked before the sampling settings
+        # the cap is checked before the run settings
         ["estimate", "{wide}", "--cut", "1", "--epsilon", "0.9"],
+        ["estimate", "{wide}", "--cut", "1", "--k", "-1"],
         ["distinguish", "--n", "14"],
     ],
 )
@@ -139,6 +156,23 @@ def test_bad_sampling_settings_exit_2(tmp_path, capsys, text, settings, message)
     # Checked on the tableau backend too, though it draws no samples.
     path = _write(tmp_path, "c.qc", text)
     code, out, err = _run(capsys, "estimate", path, "--cut", "1", *settings)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [(["--epsilon", "5"], "epsilon must lie"), (["--k", "-1"], "k must be nonnegative")],
+)
+def test_bad_settings_exit_2_before_the_tableau_is_built(
+    tmp_path, capsys, monkeypatch, setting, message
+):
+    def refuse(circuit):
+        raise AssertionError("simulate_clifford ran before the settings check")
+
+    monkeypatch.setattr("stabent.cli.simulate_clifford", refuse)
+    path = _write(tmp_path, "epr.qc", EPR)
+    code, out, err = _run(capsys, "estimate", path, "--cut", "1", *setting)
     assert code == 2 and out == ""
     assert message in err
 

@@ -18,7 +18,6 @@ from stabent import (
     characteristic_distribution,
     default_epsilon,
     entanglement_entropy_oracle,
-    entropy_bounds_from_group,
     estimate_entropy,
     from_pauli_string,
     random_clifford_circuit,
@@ -89,25 +88,28 @@ def test_params_validation():
         EstimatorParams(0.1, 0.1, -1)
 
 
+def _group_bounds(group, cut):
+    """(lower, upper) from estimate_entropy's group path."""
+    if isinstance(group, Subspace):
+        group = StabilizerGroupEstimate(group, "exact-oracle")
+    report = estimate_entropy(group=group, cut=cut)
+    return report.lower, report.upper
+
+
 def test_bounds_from_group_examples():
     epr = StabilizerGroupEstimate(
         span([from_pauli_string("XX"), from_pauli_string("ZZ")]), "tableau"
     )
-    assert entropy_bounds_from_group(epr, Cut(2, {1})) == (1.0, 1.0)
+    assert _group_bounds(epr, Cut(2, {1})) == (1.0, 1.0)
 
     zs = span([from_pauli_string("ZII"), from_pauli_string("IZI"),
                from_pauli_string("IIZ")])
-    assert entropy_bounds_from_group(zs, Cut(3, {2})) == (0.0, 0.0)
-    assert entropy_bounds_from_group(zs, Cut(3, {1, 3})) == (0.0, 0.0)
+    assert _group_bounds(zs, Cut(3, {2})) == (0.0, 0.0)
+    assert _group_bounds(zs, Cut(3, {1, 3})) == (0.0, 0.0)
 
     trivial = Subspace.zero(4)
-    assert entropy_bounds_from_group(trivial, Cut(4, {1})) == (0.0, 1.0)
-    assert entropy_bounds_from_group(trivial, Cut(4, {1, 2, 3})) == (0.0, 1.0)
-
-
-def test_bounds_require_isotropic():
-    with pytest.raises(ValueError):
-        entropy_bounds_from_group(Subspace.full(2), Cut(2, {1}))
+    assert _group_bounds(trivial, Cut(4, {1})) == (0.0, 1.0)
+    assert _group_bounds(trivial, Cut(4, {1, 2, 3})) == (0.0, 1.0)
 
 
 def test_bounds_contain_oracle_entropy():
@@ -125,7 +127,7 @@ def test_bounds_contain_oracle_entropy():
             for q in rng.choice(n, size=int(rng.integers(1, n)), replace=False)
         )
         cut = Cut(n, a)
-        lo, hi = entropy_bounds_from_group(group, cut)
+        lo, hi = _group_bounds(group, cut)
         s = entanglement_entropy_oracle(psi, cut)
         assert lo - 1e-9 <= s <= hi + 1e-9
 
@@ -141,7 +143,7 @@ def test_bounds_monotone_in_group():
         )
         cut = Cut(n, a)
         sub = Subspace.zero(n)
-        prev = entropy_bounds_from_group(sub, cut)
+        prev = _group_bounds(sub, cut)
         while True:
             comp = symplectic_complement(sub)
             candidates = [v for v in comp.basis if v not in sub]
@@ -149,7 +151,7 @@ def test_bounds_monotone_in_group():
                 break
             pick = candidates[int(rng.integers(len(candidates)))]
             sub = Subspace.from_bit_rows(n, [v.bits for v in sub.basis] + [pick.bits])
-            cur = entropy_bounds_from_group(sub, cut)
+            cur = _group_bounds(sub, cut)
             assert cur[0] >= prev[0]  # lower never decreases
             assert cur[1] <= prev[1]  # upper never increases
             prev = cur

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import helpers
 from stabent import (
     Circuit,
+    Gate,
     SympVec,
     Tableau,
     conjugate_vector,
@@ -210,3 +211,11 @@ def test_gate_index_validation():
         Circuit.from_ops(2, ("CNOT", 1, 5))
     with pytest.raises(ValueError):
         Circuit.from_ops(2, ("Q", 1))
+    # A Gate is a plain record; the Circuit it joins checks it.
+    for gate, message in [
+        (Gate("H", (1, 2)), "takes 1 qubit"),
+        (Gate("CNOT", (2,)), "takes 2 qubit"),
+        (Gate("CNOT", (2, 2)), "must be distinct"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Circuit(2, (gate,))
