@@ -6,7 +6,9 @@ points but is never tabulated. Draws from it take two exact steps: the X
 half a from its marginal p_X, which is the XOR autocorrelation of |psi|^2
 (two length-2^n Walsh-Hadamard transforms), then the Z half b from
 p(a|b) / p_X(a), from the expectation rows of every a, streamed in row
-batches. Memory is O(2^n * block + samples).
+batches. Each row costs one complex Walsh-Hadamard transform of length
+2^(n-1), done as real matrix products (`weyl.expectation_rows`). Memory is
+O(2^n * block + samples).
 
 Amplitude index convention: qubit 1 is the most significant index bit, which
 matches the packed-vector convention in `symplectic` (qubit q sits at bit
@@ -190,11 +192,14 @@ def bell_difference_sample_bits(
     block = _rows_per_block(n)
     for start in range(0, size, block):
         a_vals = np.arange(start, min(start + block, size))
-        sq = expectation_rows(dist.amplitudes, a_vals) ** 2
+        # Squared and accumulated in the rows' own buffer: a fresh batch-sized
+        # array costs page faults comparable to the arithmetic on it.
+        sq = expectation_rows(dist.amplitudes, a_vals)
+        np.square(sq, out=sq)
         miss = np.abs(sq.sum(axis=1) / size - dist.marginal[a_vals]).max()
         if miss > _MARGINAL_TOL:
             raise RuntimeError(f"expectation rows miss the X marginal by {miss:.3e}")
-        cdf = np.cumsum(sq, axis=1)
+        cdf = np.cumsum(sq, axis=1, out=sq)
         # A row that sums to 0 stays 0; every other ends at exactly 1, above every u.
         cdf /= np.maximum(cdf[:, -1:], np.finfo(float).tiny)
         for row, lo, hi in zip(cdf, bounds[a_vals], bounds[a_vals + 1]):

@@ -3,10 +3,9 @@
 Everything here is deliberately independent of the package internals: dense
 0/1 matrices instead of packed ints, Kronecker products instead of in-place
 gate kernels, butterflies instead of the matmul Walsh-Hadamard transform,
-explicit convolutions instead of two-draw sampling. The one exception is
-`characteristic_table`, the full 4^n table built from the package's
-expectation rows; tests check those rows against one-at-a-time
-expectations. The suite checks the fast paths against these.
+full-length complex expectation rows instead of the folded half-length
+kernel, explicit convolutions instead of two-draw sampling. The suite checks
+the fast paths against these.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from stabent import (
     span,
     symplectic_product,
 )
-from stabent.weyl import expectation_rows
 
 # ---------------------------------------------------------------------------
 # GF(2) oracles on dense 0/1 matrices
@@ -218,13 +216,36 @@ def wht_butterfly(mat: np.ndarray) -> np.ndarray:
     return out
 
 
+_I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
+
+
+def expectation_rows_complex(amps: np.ndarray, a_values: np.ndarray) -> np.ndarray:
+    """<psi| W_(a|b) |psi> for each a in `a_values` and every b, unfolded.
+
+    Row a is the full-length complex WHT (by butterflies) of
+    conj(psi[u xor a]) psi[u] times the i^(a.b) phase, whose imaginary
+    residue must vanish.
+    """
+    size = len(amps)
+    idx = np.arange(size, dtype=np.uint64)
+    a_col = np.asarray(a_values, dtype=np.uint64)[:, None]
+    g = np.conj(amps[idx[None, :] ^ a_col]) * amps[None, :]
+    wht = wht_butterfly(g)
+    table = _I_POWERS[np.bitwise_count(a_col & idx[None, :]) & 3] * wht
+    resid = float(np.abs(table.imag).max(initial=0.0))
+    if resid > 1e-10:
+        raise RuntimeError(f"non-real Weyl expectation row (residue {resid:.3e})")
+    return table.real
+
+
 def characteristic_table(psi: StateVector) -> np.ndarray:
     """p(x) = 2^-n <psi|W_x|psi>^2 on all of F2^(2n), indexed by SympVec.bits.
 
-    The whole 4^n table, one expectation row per X half; small n only.
+    The whole 4^n table, one unfolded expectation row per X half; small n
+    only.
     """
     size = 1 << psi.n
-    rows = expectation_rows(psi.amplitudes, np.arange(size, dtype=np.uint64))
+    rows = expectation_rows_complex(psi.amplitudes, np.arange(size, dtype=np.uint64))
     return ((rows * rows).T / size).ravel()  # [b, a], flat index (b << n) | a
 
 

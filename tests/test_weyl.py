@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +26,8 @@ from stabent import (
     weyl_expectation,
     weyl_group_oracle,
 )
-from stabent.weyl import _wht_rows
+from stabent import weyl
+from stabent.weyl import _wht_rows, expectation_rows
 
 _SQRT1_2 = 1 / np.sqrt(2)
 
@@ -174,3 +177,76 @@ def test_wht_rows_matches_butterflies(n, rows, complex_rows, seed):
     got = _wht_rows(mat)
     assert got.dtype == mat.dtype and got.shape == mat.shape
     assert np.allclose(got, helpers.wht_butterfly(mat), rtol=0.0, atol=1e-12)
+
+
+def _random_state(n: int, rng: np.random.Generator) -> StateVector:
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+    drawn=st.lists(st.integers(0, 2**7 - 1), max_size=6),
+)
+def test_expectation_rows_match_unfolded_rows_and_single_expectations(n, seed, drawn):
+    """Every X half: 0, each top bit, repeats, in shuffled order; signs kept."""
+    rng = np.random.default_rng(seed)
+    psi = _random_state(n, rng)
+    size = 1 << n
+    tops = [(1 << j) + int(rng.integers(0, 1 << j)) for j in range(n)]
+    a_values = rng.permutation([0, *tops, tops[-1], *(a % size for a in drawn)])
+    got = expectation_rows(psi.amplitudes, a_values)
+    assert got.shape == (len(a_values), size) and got.dtype == np.float64
+    want = helpers.expectation_rows_complex(psi.amplitudes, a_values)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    for row, a in zip(got, a_values):
+        single = [
+            weyl_expectation(SympVec(n, (b << n) | int(a)), psi) for b in range(size)
+        ]
+        assert np.allclose(row, single, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("start", [0, 2048])
+def test_expectation_rows_match_unfolded_rows_at_the_cap(start):
+    """The sampler's first batch (every top bit up to 6) and a batch whose
+    rows all have top bit 11, on a Clifford+T state at n = 12."""
+    psi = simulate_circuit(random_clifford_t_circuit(12, 2, np.random.default_rng(7)))
+    a_values = np.arange(start, start + 128)
+    got = expectation_rows(psi.amplitudes, a_values)
+    want = helpers.expectation_rows_complex(psi.amplitudes, a_values)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a_values", [[-1], [4], np.array([-1]), np.array([4], dtype=np.uint64), [1.0]]
+)
+def test_expectation_rows_reject_x_halves_out_of_range(a_values):
+    psi = _random_state(2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"in \[0, 4\)"):
+        expectation_rows(psi.amplitudes, a_values)
+
+
+def test_expectation_rows_check_their_energy(monkeypatch):
+    psi = _random_state(5, np.random.default_rng(1))
+    real_wht = weyl._wht_rows
+    monkeypatch.setattr(weyl, "_wht_rows", lambda mat: 0.5 * real_wht(mat))
+    for a_values in ([0], [3], [16, 17]):
+        with pytest.raises(RuntimeError, match="energy"):
+            expectation_rows(psi.amplitudes, a_values)
+
+
+def test_expectation_rows_batch_memory():
+    """One 128-row batch at n = 12 returns 4 MiB and allocates at most ~6x that."""
+    psi = simulate_circuit(random_clifford_t_circuit(12, 2, np.random.default_rng(8)))
+    for start in (0, 2048):
+        a_values = np.arange(start, start + 128)
+        tracemalloc.start()
+        try:
+            rows = expectation_rows(psi.amplitudes, a_values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.nbytes == 4 << 20
+        assert peak < 6 * rows.nbytes, peak
