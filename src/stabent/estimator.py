@@ -40,9 +40,11 @@ __all__ = [
 ]
 
 
-# The most Bell-difference samples one call may ask for. Each packed sample
-# costs about 48 bytes while it is drawn, so this bounds a draw near 0.8 GB;
-# the default n = 12 run needs 480,697.
+# The most Bell-difference samples one call may ask for. A sample is two
+# draws, and each draw holds one float64 uniform that its packed int64 value
+# overwrites, plus, while its X half is mapped, one int64 index: at most 32
+# bytes per sample, and near 24 when no one X half holds most draws. So this
+# bounds a draw near 0.54 GB; the default n = 12 run needs 480,697.
 MAX_SAMPLE_COUNT = 1 << 24
 
 
@@ -142,6 +144,16 @@ class BoundReport:
         }
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D array, by a sort and a neighbour mask (np.unique
+    hashes integers, which is several times slower here)."""
+    ordered = np.sort(values)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def estimate_entropy(
     *,
     samples: np.ndarray | None = None,
@@ -176,13 +188,15 @@ def estimate_entropy(
             raise ValueError("the sampled path needs EstimatorParams")
         if not isinstance(samples, np.ndarray) or samples.dtype.kind not in "iu":
             raise ValueError("samples must be a packed integer array")
+        if samples.ndim != 1:
+            raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
         used = int(samples.size)
         need = required_sample_count(n, params.epsilon, params.delta)
         if used < need:
             raise ValueError(f"need at least {need} samples, got {used}")
         # one uint64 per sample is a packed (m, 1) matrix; from_bit_rows
         # checks its range
-        distinct = np.unique(samples)[:, None]
+        distinct = _sorted_distinct(samples)[:, None]
         sub = symplectic_complement(Subspace.from_bit_rows(n, distinct))
         # k above n is a vacuous promise; floor the promised dimension at 0.
         promised = max(n - params.k, 0)

@@ -2,13 +2,15 @@
 Bell difference sampling, and the exact entanglement entropy oracle.
 
 The characteristic distribution p(a|b) = 2^-n <psi|W_(a|b)|psi>^2 has 4^n
-points but is never tabulated. Draws from it take two exact steps: the X
-half a from its marginal p_X, which is the XOR autocorrelation of |psi|^2
-(two length-2^n Walsh-Hadamard transforms), then the Z half b from
-p(a|b) / p_X(a), from the expectation rows of every a, streamed in row
-batches. Each row costs one complex Walsh-Hadamard transform of length
-2^(n-1), done as real matrix products (`weyl.expectation_rows`). Memory is
-O(2^n * block + samples).
+points but is never tabulated. A batch of draws from it is made as its
+sorted multiset, in two exact steps: how many draws take each X half a, as
+one multinomial over the marginal p_X, which is the XOR autocorrelation of
+|psi|^2 (two length-2^n Walsh-Hadamard transforms); then the Z halves b of
+those draws, as sorted uniforms mapped through the inverse CDF of
+p(a|b) / p_X(a). That CDF comes from the expectation row of a; the rows of
+every a are streamed in row batches. Each row costs one complex
+Walsh-Hadamard transform of length 2^(n-1), done as real matrix products
+(`weyl.expectation_rows`). Memory is O(2^n * block + samples).
 
 Amplitude index convention: qubit 1 is the most significant index bit, which
 matches the packed-vector convention in `symplectic` (qubit q sits at bit
@@ -160,17 +162,38 @@ def characteristic_distribution(psi: StateVector) -> CharacteristicDistribution:
     return CharacteristicDistribution(n, psi.amplitudes, marginal, cdf)
 
 
+def _inverse_cdf_sorted(cdf: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(cdf, keys, side="right")` for sorted `keys`.
+
+    Both are sorted, so the merge can run from the shorter side: with more
+    keys than cdf entries, the keys below each entry are counted in one
+    search and the indices rebuilt from those counts. Both sides return the
+    same array.
+    """
+    if keys.size <= cdf.size:
+        return np.searchsorted(cdf, keys, side="right")
+    # below[i + 1] keys lie below cdf[i]; np.diff with prepend/append costs
+    # more than the search at these sizes.
+    below = np.empty(cdf.size + 2, dtype=np.intp)
+    below[0], below[-1] = 0, keys.size
+    below[1:-1] = np.searchsorted(keys, cdf, side="left")
+    return np.repeat(np.arange(cdf.size + 1), below[1:] - below[:-1])
+
+
 def bell_difference_sample_bits(
     dist: CharacteristicDistribution, rng: np.random.Generator, count: int
 ) -> np.ndarray:
     """`count` packed samples from q = p * p (XOR convolution).
 
     Each output is the XOR of two independent draws from p, which is
-    distributed exactly as the convolution. A draw takes its X half a by
-    inverse CDF over `marginal_cdf`, then its Z half b by inverse CDF over
-    the squared expectation row of a. The X halves are drawn in sorted
-    order, which groups equal ones, and the draws are shuffled at the end:
-    an i.i.d. sequence is its sorted multiset in uniformly random order.
+    distributed exactly as the convolution. The 2 * count draws are made as
+    their sorted multiset, then shuffled: an i.i.d. sequence is its sorted
+    multiset in uniformly random order. The multiset takes two exact steps.
+    The X halves' histogram is one multinomial over the support of p_X,
+    which is how the X halves of i.i.d. draws are distributed. Then the c_a
+    Z halves of X half a are c_a sorted uniforms mapped through the inverse
+    CDF of the squared expectation row of a; the inverse CDF is monotone, so
+    they come out as the sorted multiset of c_a i.i.d. draws from p(.|a).
     Deterministic given the generator. The uint64 array, one SympVec.bits
     value per sample, is the sample format estimate_entropy takes.
 
@@ -180,15 +203,22 @@ def bell_difference_sample_bits(
     work is set by n and count alone, not by the support of p_X, which
     ranges from 1 to 2^n points between states.
     """
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ValueError(f"count must be an int, got {count!r}")
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     n = dist.n
     size = 1 << n
+    # numpy hands any rounding remainder to the last category, so only
+    # points with p_X > 0 are categories.
+    support = np.flatnonzero(dist.marginal)
+    draws = np.zeros(size, dtype=np.int64)
+    draws[support] = rng.multinomial(
+        2 * count, np.diff(dist.marginal_cdf, prepend=0.0)[support]
+    )
+    # The draws with X half a sit at bounds[a]:bounds[a + 1].
+    bounds = np.concatenate(([0], np.cumsum(draws)))
     u = rng.random(2 * count)
-    u.sort()
-    a = np.searchsorted(dist.marginal_cdf, u, side="right")
-    rng.random(out=u)
-    # The draws with X half a sit at bounds[a]:bounds[a + 1], since a is sorted.
-    bounds = np.searchsorted(a, np.arange(size + 1))
-    b = np.empty(2 * count, dtype=np.int64)
     block = _rows_per_block(n)
     for start in range(0, size, block):
         a_vals = np.arange(start, min(start + block, size))
@@ -200,14 +230,20 @@ def bell_difference_sample_bits(
         if miss > _MARGINAL_TOL:
             raise RuntimeError(f"expectation rows miss the X marginal by {miss:.3e}")
         cdf = np.cumsum(sq, axis=1, out=sq)
-        # A row that sums to 0 stays 0; every other ends at exactly 1, above every u.
+        # A row that sums to 0 stays 0, and is never drawn; every other ends
+        # at exactly 1, above every u.
         cdf /= np.maximum(cdf[:, -1:], np.finfo(float).tiny)
-        for row, lo, hi in zip(cdf, bounds[a_vals], bounds[a_vals + 1]):
-            b[lo:hi] = np.searchsorted(row, u[lo:hi], side="right")
-    b <<= n
-    b |= a
+        for a in a_vals[draws[a_vals] > 0]:
+            keys = u[bounds[a] : bounds[a + 1]]
+            keys.sort()
+            # The packed draws overwrite the uniforms they were mapped from.
+            packed = keys.view(np.int64)
+            packed[:] = _inverse_cdf_sorted(cdf[a - start], keys)
+            packed <<= n
+            packed |= a
+    b = u.view(np.int64)
     rng.shuffle(b)
-    return (b[:count] ^ b[count:]).astype(np.uint64)
+    return np.bitwise_xor(b[:count], b[count:]).view(np.uint64)
 
 
 def entanglement_entropy_oracle(psi: StateVector, cut: Cut) -> float:

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stabent import (
     Circuit,
@@ -29,6 +32,7 @@ from stabent import (
     symplectic_complement,
     weyl_group_from_tableau,
 )
+from stabent import estimator
 
 
 def test_binary_entropy_values():
@@ -259,6 +263,29 @@ def test_estimate_rejects_malformed_samples():
     bits[0] = 16  # 4^n for n = 2
     with pytest.raises(ValueError, match="out of range"):
         estimate_entropy(samples=bits, cut=Cut(2, {1}), params=params)
+
+
+def test_estimate_rejects_samples_that_are_not_1d():
+    params = EstimatorParams(epsilon=0.3, delta=1.0, k=0)
+    need = required_sample_count(2, 0.3, 1.0)
+    with pytest.raises(ValueError, match="1-D"):
+        estimate_entropy(
+            samples=np.zeros((need, 1), dtype=np.uint64), cut=Cut(2, {1}), params=params
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=hnp.arrays(
+        st.sampled_from([np.uint64, np.int64]),
+        st.integers(0, 300),
+        elements=st.integers(0, 40) | st.integers(0, 2**62),
+    )
+)
+def test_sorted_distinct_matches_unique(values):
+    got = estimator._sorted_distinct(values)
+    want = np.unique(values)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_estimate_requires_exactly_one_input():

@@ -278,6 +278,92 @@ def test_bell_sample_determinism_and_wrapper():
     assert a.dtype == np.uint64 and a.shape == (100,)
 
 
+def test_bell_sample_count_must_be_a_nonnegative_int():
+    dist = characteristic_distribution(simulate_circuit(Circuit.from_ops(2)))
+    rng = np.random.default_rng(0)
+    for bad in (-1, 2.5, "3", None, True):
+        with pytest.raises(ValueError, match="count"):
+            bell_difference_sample_bits(dist, rng, bad)
+    for ok in (0, np.int64(3)):
+        bits = bell_difference_sample_bits(dist, rng, ok)
+        assert bits.dtype == np.uint64 and bits.shape == (int(ok),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_inverse_cdf_merge_matches_searchsorted(data, n):
+    """The sorted-key merge equals a plain right-sided search, with more
+    keys than cdf entries, as many, or fewer; through zero plateaus; and on
+    keys that equal cdf entries, including 0 and the final 1."""
+    size = 1 << n
+    weights = np.array(
+        data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)),
+        dtype=float,
+    )
+    weights[data.draw(st.integers(0, size - 1))] += 1.0  # a row that is drawn
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    count = data.draw(
+        st.one_of(
+            st.sampled_from([0, 1, size - 1, size, size + 1]),
+            st.integers(0, 4 * size),
+        )
+    )
+    key = st.one_of(st.sampled_from([0.0, *cdf]), st.floats(0.0, 1.0, exclude_max=True))
+    keys = np.sort(
+        np.array(data.draw(st.lists(key, min_size=count, max_size=count)), dtype=float)
+    )
+    got = statevector._inverse_cdf_sorted(cdf, keys)
+    want = np.searchsorted(cdf, keys, side="right")
+    assert np.array_equal(got, want)
+
+
+class _RecordingGenerator:
+    """A generator that records the X-half multinomial the sampler draws."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.pvals = self.drawn = None
+
+    def multinomial(self, total, pvals):
+        self.pvals = np.asarray(pvals)
+        self.drawn = self._rng.multinomial(total, pvals)
+        return self.drawn
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_x_half_histogram_tv_against_marginal():
+    """A generic state, whose p_X is far from uniform on its support."""
+    n, count = 4, 50_000
+    amps = np.array([1.0, 1j]) @ np.random.default_rng(5).normal(size=(2, 1 << n))
+    dist = characteristic_distribution(StateVector(n, amps / np.linalg.norm(amps)))
+    rng = _RecordingGenerator(6)
+    bell_difference_sample_bits(dist, rng, count)
+    hist = np.zeros(1 << n)
+    hist[np.flatnonzero(dist.marginal)] = rng.drawn
+    assert hist.sum() == 2 * count
+    tv = 0.5 * float(np.abs(hist / (2 * count) - dist.marginal).sum())
+    assert tv < 0.02
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), t=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_no_x_half_drawn_where_marginal_is_zero(n, t, seed):
+    """numpy hands the multinomial's rounding remainder to its last
+    category, so every category must have p_X > 0; and no sample carries
+    an X half that two draws from the support cannot make."""
+    psi = simulate_circuit(random_clifford_t_circuit(n, t, np.random.default_rng(seed)))
+    dist = characteristic_distribution(psi)
+    support = np.flatnonzero(dist.marginal)
+    rng = _RecordingGenerator(seed)
+    bits = bell_difference_sample_bits(dist, rng, 500)
+    assert (rng.pvals > 0).all() and rng.drawn.size == support.size
+    pair_xors = set((support[:, None] ^ support[None, :]).ravel().tolist())
+    assert set((bits & ((1 << n) - 1)).tolist()) <= pair_xors
+
+
 def test_entropy_examples():
     epr = simulate_circuit(Circuit.from_ops(2, ("H", 1), ("CNOT", 1, 2)))
     assert entanglement_entropy_oracle(epr, Cut(2, {1})) == pytest.approx(1.0)
