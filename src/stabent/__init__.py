@@ -58,7 +58,6 @@ from .weyl import (
     DEFAULT_DENSE_CAP,
     CapExceededError,
     StabilizerGroupEstimate,
-    apply_weyl,
     weyl_expectation,
     weyl_group_oracle,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "Subspace",
     "SympVec",
     "Tableau",
-    "apply_weyl",
     "bell_difference_sample_bits",
     "bell_pair_ensemble",
     "binary_entropy",

@@ -136,11 +136,16 @@ def _resolve_k(args, circuit: Circuit) -> int:
 
 
 def _emit(record: dict, output: str | None) -> None:
+    """Write the report to `output` first, then to stdout, so a file that
+    cannot be written leaves stdout empty (exit 2)."""
     text = json.dumps(record, indent=2) + "\n"
-    sys.stdout.write(text)
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CircuitParseError(f"cannot write {output}: {exc}") from None
+    sys.stdout.write(text)
 
 
 def _cmd_estimate(args) -> int:

@@ -105,6 +105,8 @@ class EstimatorParams:
         _validate_epsilon_delta(self.epsilon, self.delta)
         if self.k < 0:
             raise ValueError(f"k must be nonnegative, got {self.k}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit
-from .symplectic import Cut, SympVec
-from .weyl import (
-    _check_cap,
-    _rows_per_block,
-    _wht_rows,
-    expectation_rows,
-    weyl_expectation,
-)
+from .symplectic import Cut
+from .weyl import _check_cap, _rows_per_block, _wht_rows, expectation_rows
 
 __all__ = [
     "CharacteristicDistribution",
@@ -122,21 +116,12 @@ def simulate_circuit(c: Circuit) -> StateVector:
 class CharacteristicDistribution:
     """p(a|b) = 2^-n <psi|W_(a|b)|psi>^2 on F2^(2n), held without its 4^n table.
 
-    `marginal[a]` is the X-half marginal p_X(a) = sum_b p(a|b) and
-    `marginal_cdf` its prefix sums scaled to end at exactly 1; single values
-    of p come from `prob`.
+    `marginal[a]` is the X-half marginal p_X(a) = sum_b p(a|b).
     """
 
     n: int
     amplitudes: np.ndarray
     marginal: np.ndarray
-    marginal_cdf: np.ndarray
-
-    def prob(self, v: SympVec) -> float:
-        if v.n != self.n:
-            raise ValueError("qubit count mismatch")
-        # n and amplitudes are all that weyl_expectation reads of a state.
-        return weyl_expectation(v, self) ** 2 / (1 << self.n)
 
 
 def characteristic_distribution(psi: StateVector) -> CharacteristicDistribution:
@@ -155,11 +140,8 @@ def characteristic_distribution(psi: StateVector) -> CharacteristicDistribution:
     total = float(marginal.sum())
     if abs(total - 1.0) > 1e-9:
         raise RuntimeError(f"characteristic distribution sums to {total!r}, not 1")
-    cdf = np.cumsum(marginal)
-    cdf /= cdf[-1]
     marginal.setflags(write=False)
-    cdf.setflags(write=False)
-    return CharacteristicDistribution(n, psi.amplitudes, marginal, cdf)
+    return CharacteristicDistribution(n, psi.amplitudes, marginal)
 
 
 def _inverse_cdf_sorted(cdf: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -212,10 +194,9 @@ def bell_difference_sample_bits(
     # numpy hands any rounding remainder to the last category, so only
     # points with p_X > 0 are categories.
     support = np.flatnonzero(dist.marginal)
+    p = dist.marginal[support]
     draws = np.zeros(size, dtype=np.int64)
-    draws[support] = rng.multinomial(
-        2 * count, np.diff(dist.marginal_cdf, prepend=0.0)[support]
-    )
+    draws[support] = rng.multinomial(2 * count, p / p.sum())
     # The draws with X half a sit at bounds[a]:bounds[a + 1].
     bounds = np.concatenate(([0], np.cumsum(draws)))
     u = rng.random(2 * count)

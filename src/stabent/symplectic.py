@@ -7,7 +7,7 @@ Everywhere else a set of vectors is a packed uint64 matrix of shape
 (rows, words), in which bit j of a row sits in bit j % 64 of word j // 64
 (the layout of Gidney's Stim, Quantum 2021). Ints are packed once on the
 way in (`Subspace.from_bit_rows`, `span`) and unpacked only on the way out
-(`Subspace.basis`, `contains`, `elements`, `extract_symplectic_subspace`).
+(`Subspace.basis`, `contains`, `extract_symplectic_subspace`).
 
 A `Subspace` holds its canonical RREF basis as such a matrix (pivot =
 lowest set bit, pivots strictly increasing), so two subspaces are equal iff
@@ -36,7 +36,7 @@ the one bit transpose; the tableau uses it too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -75,14 +75,6 @@ class SympVec:
         if not 0 <= self.bits < 1 << (2 * self.n):
             raise ValueError(f"bits out of range for n={self.n}: {self.bits:#x}")
 
-    @property
-    def a_bits(self) -> int:
-        return self.bits & ((1 << self.n) - 1)
-
-    @property
-    def b_bits(self) -> int:
-        return self.bits >> self.n
-
     def a(self, q: int) -> int:
         """X-half coordinate on qubit q (1-based)."""
         return (self.bits >> (self.n - q)) & 1
@@ -90,10 +82,6 @@ class SympVec:
     def b(self, q: int) -> int:
         """Z-half coordinate on qubit q (1-based)."""
         return (self.bits >> (2 * self.n - q)) & 1
-
-    def support(self) -> tuple[int, ...]:
-        """Qubits on which either coordinate is nonzero, ascending."""
-        return tuple(q for q in range(1, self.n + 1) if self.a(q) or self.b(q))
 
     def __xor__(self, other: "SympVec") -> "SympVec":
         if self.n != other.n:
@@ -384,15 +372,6 @@ class Subspace:
         return bits == 0
 
     __contains__ = contains
-
-    def elements(self) -> Iterator[SympVec]:
-        """All 2^rank members, by Gray-code walk over the basis."""
-        rows = _unpack(self.rows)
-        cur = 0
-        yield SympVec(self.n, 0)
-        for i in range(1, 1 << len(rows)):
-            cur ^= rows[(i & -i).bit_length() - 1]
-            yield SympVec(self.n, cur)
 
 
 def span(vectors: Iterable[SympVec], n: int | None = None) -> Subspace:

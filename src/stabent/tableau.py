@@ -4,17 +4,20 @@ During the gate loop the tableau stores one n-bit column per qubit per half
 (X and Z), packed in Python ints over the generator index, so each gate is an
 O(n)-bit column update. The 2n columns are then packed into a uint64 matrix
 once, and `symplectic._transpose`, one word column at a time, turns them into
-the n generator rows. Signs are tracked through every gate with the textbook
-update rules but nothing downstream consumes them: the unsigned stabilizer
-group is all the estimator needs.
+the n generator rows, which stay packed in the layout of `Subspace.rows`.
+Signs are tracked through every gate with the textbook update rules but
+nothing downstream consumes them: the unsigned stabilizer group is all the
+estimator needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .circuits import Circuit
-from .symplectic import SympVec, _pack, _transpose, _unpack, _words, span
+from .symplectic import Subspace, SympVec, _checked_rows, _pack, _transpose, _words
 from .weyl import StabilizerGroupEstimate
 
 __all__ = [
@@ -24,26 +27,32 @@ __all__ = [
     "weyl_group_from_tableau",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tableau:
     """Stabilizer generators of an n-qubit state: n rows plus sign bits.
 
-    Construction spans the rows once into `group`, the unsigned stabilizer
-    group; StabilizerGroupEstimate rejects anticommuting rows, and the
-    dimension check here rejects dependent ones.
+    `rows` is a read-only packed (n, words) uint64 matrix in the layout of
+    `Subspace.rows`; the constructor also takes SympVec.bits ints, or any
+    integer matrix of that shape, and keeps a checked copy. Construction
+    spans the rows once into `group`, the unsigned stabilizer group;
+    StabilizerGroupEstimate rejects anticommuting rows, and the dimension
+    check here rejects dependent ones.
     """
 
     n: int
-    rows: tuple[SympVec, ...]
+    rows: np.ndarray
     signs: tuple[int, ...]
-    group: StabilizerGroupEstimate = field(init=False, compare=False, repr=False)
+    group: StabilizerGroupEstimate = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.rows) != self.n or len(self.signs) != self.n:
+        rows = _checked_rows(self.rows, self.n)
+        if len(rows) != self.n or len(self.signs) != self.n:
             raise ValueError("tableau needs exactly n generator rows and signs")
-        group = StabilizerGroupEstimate(span(self.rows, n=self.n), "tableau")
+        group = StabilizerGroupEstimate(Subspace.from_bit_rows(self.n, rows), "tableau")
         if group.dim != self.n:
             raise ValueError("tableau generators must be independent")
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "group", group)
 
 
@@ -82,9 +91,8 @@ def simulate_clifford(c: Circuit) -> Tableau:
         else:
             raise ValueError(f"unknown Clifford gate {g.name!r}")
     # Row bit c is qubit n - c of the X half for c < n, of the Z half above.
-    rows = _unpack(_transpose(_pack(x[n:0:-1] + z[n:0:-1], _words(n)))[:n])
-    signs = tuple((s >> i) & 1 for i in range(n))
-    return Tableau(n, tuple(SympVec(n, r) for r in rows), signs)
+    rows = _transpose(_pack(x[n:0:-1] + z[n:0:-1], _words(n)))[:n]
+    return Tableau(n, rows, tuple((s >> i) & 1 for i in range(n)))
 
 
 def weyl_group_from_tableau(t: Tableau) -> StabilizerGroupEstimate:

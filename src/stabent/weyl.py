@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_DENSE_CAP",
     "CapExceededError",
     "StabilizerGroupEstimate",
-    "apply_weyl",
     "expectation_rows",
     "weyl_expectation",
     "weyl_group_oracle",
@@ -93,25 +92,8 @@ class StabilizerGroupEstimate:
         return self.subspace.rank
 
 
-def _apply_weyl_amps(n: int, bits: int, amps: np.ndarray) -> np.ndarray:
-    a = bits & ((1 << n) - 1)
-    b = bits >> n
-    idx = np.arange(1 << n, dtype=np.uint64)
-    src = idx ^ np.uint64(a)
-    signs = 1.0 - 2.0 * (np.bitwise_count(src & np.uint64(b)) & 1)
-    return _I_POWERS[(a & b).bit_count() & 3] * signs * amps[src]
-
-
-def apply_weyl(v: SympVec, psi):
-    """W_v |psi>, in O(2^n) without materializing the operator."""
-    if v.n != psi.n:
-        raise ValueError(f"qubit count mismatch: {v.n} vs {psi.n}")
-    out = _apply_weyl_amps(v.n, v.bits, np.asarray(psi.amplitudes))
-    return type(psi)(psi.n, out)
-
-
 def weyl_expectation(v: SympVec, psi) -> float:
-    """<psi| W_v |psi>, real by Hermiticity.
+    """<psi| W_v |psi>, real by Hermiticity, in O(2^n).
 
     An imaginary residue above `_IMAG_TOL` means the phase convention broke
     somewhere upstream: an internal fault, raised as RuntimeError rather
@@ -119,8 +101,12 @@ def weyl_expectation(v: SympVec, psi) -> float:
     """
     if v.n != psi.n:
         raise ValueError(f"qubit count mismatch: {v.n} vs {psi.n}")
+    n = v.n
+    a, b = v.bits & ((1 << n) - 1), v.bits >> n
     amps = np.asarray(psi.amplitudes)
-    val = complex(np.vdot(amps, _apply_weyl_amps(v.n, v.bits, amps)))
+    src = np.arange(1 << n, dtype=np.uint64) ^ np.uint64(a)
+    signs = 1.0 - 2.0 * (np.bitwise_count(src & np.uint64(b)) & 1)
+    val = complex(np.vdot(amps, _I_POWERS[(a & b).bit_count() & 3] * signs * amps[src]))
     if abs(val.imag) > _IMAG_TOL:
         raise RuntimeError(f"non-real Weyl expectation {val!r}")
     return val.real

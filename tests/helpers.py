@@ -72,10 +72,34 @@ def brute_complement(sub: Subspace) -> Subspace:
     return span(hits, n=sub.n)
 
 
+def support(v: SympVec) -> set[int]:
+    """Qubits on which either half of v is nonzero."""
+    return {q for q in range(1, v.n + 1) if v.a(q) or v.b(q)}
+
+
 def brute_restrict(sub: Subspace, side: set[int]) -> Subspace:
-    """S_side by filtering every member of S on its support."""
-    hits = [v for v in sub.elements() if set(v.support()) <= side]
+    """S_side by filtering every member of S on its support. The members
+    are enumerated as the XORs of all subsets of the basis."""
+    basis = [v.bits for v in sub.basis]
+    hits = []
+    for subset in range(1 << len(basis)):
+        bits = 0
+        for i, row in enumerate(basis):
+            if subset >> i & 1:
+                bits ^= row
+        v = SympVec(sub.n, bits)
+        if support(v) <= side:
+            hits.append(v)
     return span(hits, n=sub.n)
+
+
+def tableau_rows(tab) -> list[SympVec]:
+    """The generator rows of a Tableau as SympVec, read from its packed
+    little-endian uint64 words."""
+    return [
+        SympVec(tab.n, int.from_bytes(row.astype("<u8").tobytes(), "little"))
+        for row in tab.rows
+    ]
 
 
 def rand_bits(rng: np.random.Generator, nbits: int) -> int:
@@ -183,7 +207,9 @@ def literal_pauli_matrix(v: SympVec) -> np.ndarray:
 
 
 def weyl_matrix(v: SympVec) -> np.ndarray:
-    phase = 1j ** ((v.a_bits & v.b_bits).bit_count() % 4)
+    """i^(a.b) X^a Z^b, with the halves a and b read from v.bits."""
+    a, b = v.bits & ((1 << v.n) - 1), v.bits >> v.n
+    phase = 1j ** ((a & b).bit_count() % 4)
     return phase * literal_pauli_matrix(v)
 
 

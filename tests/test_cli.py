@@ -150,6 +150,7 @@ def test_negative_promise_exit_2(tmp_path, capsys, text, promise):
         (["--epsilon", "0"], "epsilon must lie"),
         (["--delta", "-1"], "delta must lie"),
         (["--delta", "1.5"], "delta must lie"),
+        (["--seed", "-1"], "seed must be nonnegative"),
     ],
 )
 def test_bad_sampling_settings_exit_2(tmp_path, capsys, text, settings, message):
@@ -255,6 +256,25 @@ def test_estimate_output_file(tmp_path, capsys):
     )
     assert code == 0
     assert out_path.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "{epr}", "--cut", "1"],
+        ["distinguish", "--n", "4", "--t-prime", "0", "--trials", "1"],
+    ],
+    ids=["estimate", "distinguish"],
+)
+def test_unwritable_output_exit_2(tmp_path, capsys, argv):
+    epr = _write(tmp_path, "epr.qc", EPR)
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = _run(
+        capsys, *(a.format(epr=epr) for a in argv), "--output", str(target)
+    )
+    assert code == 2 and out == ""
+    assert f"cannot write {target}" in err
+    assert not target.exists()
 
 
 def test_oracle_epr(tmp_path, capsys):

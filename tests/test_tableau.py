@@ -31,19 +31,20 @@ from stabent import (
 
 def test_empty_circuit():
     tab = simulate_clifford(Circuit.from_ops(3))
-    assert [to_pauli_string(v) for v in tab.rows] == ["ZII", "IZI", "IIZ"]
+    rows = helpers.tableau_rows(tab)
+    assert [to_pauli_string(v) for v in rows] == ["ZII", "IZI", "IIZ"]
     assert tab.signs == (0, 0, 0)
 
 
 def test_h_gate():
     tab = simulate_clifford(Circuit.from_ops(1, ("H", 1)))
-    assert to_pauli_string(tab.rows[0]) == "X"
+    assert to_pauli_string(helpers.tableau_rows(tab)[0]) == "X"
     assert tab.signs == (0,)
 
 
 def test_epr():
     tab = simulate_clifford(Circuit.from_ops(2, ("H", 1), ("CNOT", 1, 2)))
-    assert {to_pauli_string(v) for v in tab.rows} == {"XX", "ZZ"}
+    assert {to_pauli_string(v) for v in helpers.tableau_rows(tab)} == {"XX", "ZZ"}
     assert tab.signs == (0, 0)
 
 
@@ -76,7 +77,7 @@ def test_rows_stay_valid_after_every_gate():
 def test_rows_are_conjugated_z_at_byte_and_word_boundaries(n):
     # row q-1 starts as Z_q, so it must end as C(Z_q)
     circ = random_clifford_circuit(n, np.random.default_rng(26 + n), n_gates=10 * n)
-    rows = simulate_clifford(circ).rows
+    rows = helpers.tableau_rows(simulate_clifford(circ))
     for q in range(1, n + 1):
         z_q = from_pauli_string("I" * (q - 1) + "Z" + "I" * (n - q))
         assert rows[q - 1] == conjugate_vector(circ, z_q)
@@ -86,12 +87,25 @@ def test_tableau_rejects_row_anticommuting_only_with_last_row():
     # the only odd pair is (first row, last row), found in the last block
     n = 300
     circ = random_clifford_circuit(n, np.random.default_rng(27), n_gates=10 * n)
-    rows = list(simulate_clifford(circ).rows)
+    rows = helpers.tableau_rows(simulate_clifford(circ))
     # C(X_n) anticommutes with C(Z_n) = rows[-1] and commutes with the rest
     rows[0] ^= conjugate_vector(circ, from_pauli_string("I" * (n - 1) + "X"))
     assert [symplectic_product(rows[0], r) for r in rows[1:]] == [0] * (n - 2) + [1]
     with pytest.raises(ValueError, match="isotropic"):
-        Tableau(n, tuple(rows), (0,) * n)
+        Tableau(n, [v.bits for v in rows], (0,) * n)
+
+
+def test_rows_are_a_read_only_packed_matrix():
+    n = 70  # three uint64 words per 140-bit row
+    tab = simulate_clifford(random_clifford_circuit(n, np.random.default_rng(29)))
+    assert tab.rows.dtype == np.uint64 and tab.rows.shape == (n, 3)
+    assert not tab.rows.flags.writeable
+    with pytest.raises(ValueError):
+        tab.rows[0, 0] = 0
+    # the packed form and the int form of the rows build the same group
+    again = Tableau(n, [v.bits for v in helpers.tableau_rows(tab)], tab.signs)
+    assert np.array_equal(again.rows, tab.rows)
+    assert again.group.subspace == tab.group.subspace
 
 
 def test_simulate_clifford_peak_memory_is_small():
@@ -121,8 +135,11 @@ def test_simulate_clifford_peak_memory_is_small():
     ids=["anticommuting", "dependent", "rows", "signs", "row-n", "all-n"],
 )
 def test_tableau_rejects_invalid_rows(n, rows, signs):
-    with pytest.raises(ValueError):
-        Tableau(n, tuple(from_pauli_string(r) for r in rows), signs)
+    bits = [from_pauli_string(r).bits for r in rows]
+    # as ints, and as a packed matrix: every case fits one uint64 word
+    for form in (bits, np.array(bits, dtype=np.uint64)[:, None]):
+        with pytest.raises(ValueError):
+            Tableau(n, form, signs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -141,10 +158,10 @@ def test_tableau_accepts_iff_independent_and_commuting(case):
         np.allclose(u @ w, w @ u) for u, w in itertools.combinations(mats, 2)
     )
     if valid:
-        assert Tableau(n, rows, (0,) * n).group.dim == n
+        assert Tableau(n, bits, (0,) * n).group.dim == n
     else:
         with pytest.raises(ValueError):
-            Tableau(n, rows, (0,) * n)
+            Tableau(n, bits, (0,) * n)
 
 
 def test_group_matches_dense_oracle():
@@ -166,7 +183,7 @@ def test_signed_generators_stabilize_dense_state():
         circ = random_clifford_circuit(n, rng)
         tab = simulate_clifford(circ)
         psi = simulate_circuit(circ)
-        for row, sign in zip(tab.rows, tab.signs):
+        for row, sign in zip(helpers.tableau_rows(tab), tab.signs):
             applied = helpers.weyl_matrix(row) @ psi.amplitudes
             assert np.allclose((-1.0) ** sign * applied, psi.amplitudes, atol=1e-10)
 

@@ -15,7 +15,6 @@ from stabent import (
     Circuit,
     StateVector,
     SympVec,
-    apply_weyl,
     from_pauli_string,
     is_isotropic,
     random_clifford_t_circuit,
@@ -37,47 +36,47 @@ def _state(*amps):
     return StateVector(int(np.log2(len(arr))), arr)
 
 
-def test_apply_examples():
-    zero = _state(1, 0)
-    out = apply_weyl(from_pauli_string("X"), zero)
-    assert np.allclose(out.amplitudes, [0, 1])
-
-    out = apply_weyl(from_pauli_string("Y"), zero)  # (1|1): iXZ = Y
-    assert np.allclose(out.amplitudes, [0, 1j])
+def test_expectation_phase_examples():
+    # (1|1) is iXZ = Y, so the Y eigenstates |+-i> have <W> = +-1; a dropped
+    # i^(a.b) phase would make these expectations imaginary
+    plus_i = _state(_SQRT1_2, 1j * _SQRT1_2)
+    minus_i = _state(_SQRT1_2, -1j * _SQRT1_2)
+    y = from_pauli_string("Y")
+    assert weyl_expectation(y, plus_i) == pytest.approx(1.0)
+    assert weyl_expectation(y, minus_i) == pytest.approx(-1.0)
+    for psi, want in ((plus_i, 1.0), (minus_i, -1.0)):
+        dense = np.vdot(psi.amplitudes, helpers.weyl_matrix(y) @ psi.amplitudes)
+        assert dense == pytest.approx(want)
 
     plus = _state(_SQRT1_2, _SQRT1_2)
-    out = apply_weyl(from_pauli_string("Z"), plus)
-    assert np.allclose(out.amplitudes, [_SQRT1_2, -_SQRT1_2])
+    assert weyl_expectation(from_pauli_string("X"), plus) == pytest.approx(1.0)
+    assert weyl_expectation(from_pauli_string("Z"), plus) == pytest.approx(0.0)
 
 
-def test_apply_matches_dense_weyl_matrix():
+def test_expectation_matches_dense_weyl_matrix():
     rng = np.random.default_rng(10)
     for n in (1, 2, 3):
         for _ in range(15):
-            circ = random_clifford_t_circuit(n, int(rng.integers(0, 3)), rng)
-            psi = simulate_circuit(circ)
+            psi = _random_state(n, rng)
             v = SympVec(n, helpers.rand_bits(rng, 2 * n))
-            got = apply_weyl(v, psi).amplitudes
-            want = helpers.weyl_matrix(v) @ psi.amplitudes
-            assert np.allclose(got, want, atol=1e-12)
+            want = np.vdot(psi.amplitudes, helpers.weyl_matrix(v) @ psi.amplitudes)
+            assert abs(want.imag) < 1e-12
+            assert weyl_expectation(v, psi) == pytest.approx(want.real, abs=1e-12)
 
 
-def test_apply_involution_and_commutation():
+def test_expectation_involution_and_commutation():
+    # on W_u|psi>, <W_v> is <psi| W_u W_v W_u |psi> = (-1)^[u,v] <psi|W_v|psi>:
+    # W_u squares to 1 (u = v) and commutes with W_v up to (-1)^[u,v]
     rng = np.random.default_rng(11)
     for _ in range(25):
         n = int(rng.integers(1, 4))
-        circ = random_clifford_t_circuit(n, int(rng.integers(0, 2)), rng)
-        psi = simulate_circuit(circ)
+        psi = _random_state(n, rng)
         v = SympVec(n, helpers.rand_bits(rng, 2 * n))
         u = SympVec(n, helpers.rand_bits(rng, 2 * n))
-        # involution
-        back = apply_weyl(v, apply_weyl(v, psi))
-        assert np.allclose(back.amplitudes, psi.amplitudes, atol=1e-12)
-        # commutation up to (-1)^[v,u]
-        vu = apply_weyl(v, apply_weyl(u, psi)).amplitudes
-        uv = apply_weyl(u, apply_weyl(v, psi)).amplitudes
-        sign = (-1.0) ** symplectic_product(v, u)
-        assert np.allclose(vu, sign * uv, atol=1e-12)
+        for w, sign in ((u, (-1.0) ** symplectic_product(v, u)), (v, 1.0)):
+            moved = StateVector(n, helpers.weyl_matrix(w) @ psi.amplitudes)
+            want = sign * weyl_expectation(v, psi)
+            assert weyl_expectation(v, moved) == pytest.approx(want, abs=1e-12)
 
 
 def test_expectation_examples():
@@ -150,14 +149,17 @@ def test_group_estimate_validation():
 def test_cap_and_mismatch_errors():
     zero = _state(1, 0)
     with pytest.raises(ValueError):
-        apply_weyl(from_pauli_string("XX"), zero)
+        weyl_expectation(from_pauli_string("XX"), zero)
     wide = StateVector(13, np.eye(1, 1 << 13).ravel())
     with pytest.raises(CapExceededError):
         weyl_group_oracle(wide)  # 4^13 expectations
     # One operator on a state already in memory is O(2^n): no cap applies.
-    x1 = from_pauli_string("X" + "I" * 12)
-    assert apply_weyl(x1, wide).amplitudes[1 << 12] == 1
     assert weyl_expectation(from_pauli_string("Z" * 13), wide) == 1.0
+    # |+> on qubit 1, the top index bit: X there is a stabilizer
+    plus1 = np.zeros(1 << 13)
+    plus1[[0, 1 << 12]] = _SQRT1_2
+    x1 = from_pauli_string("X" + "I" * 12)
+    assert weyl_expectation(x1, StateVector(13, plus1)) == pytest.approx(1.0)
 
 
 @settings(max_examples=80, deadline=None)
