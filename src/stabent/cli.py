@@ -8,6 +8,9 @@ Circuit file grammar (1-based qubit indices, `#` starts a comment):
 Clifford circuits run on the tableau backend at any n; every other circuit
 runs on the dense backend, which refuses more than DEFAULT_DENSE_CAP qubits.
 
+`estimate --epsilon` defaults to default_epsilon(n) = 1/(8n) for n >= 2,
+and to 0.25 at n = 1, where default_epsilon is not defined.
+
 `estimate` checks its input in this order: the file and the cut (exit 2),
 the dense cap (exit 3), the run settings --epsilon, --delta and --k/--t in
 one EstimatorParams (exit 2), and only then simulates and estimates.

@@ -23,14 +23,14 @@ on every allowed column:
 
 - all columns allowed: the pivot rows are the canonical RREF (`span`);
 - the columns outside a cut: the rows left span the members supported on
-  the cut (`restrict_to_cut`);
-- the A^T half of [I | A^T]: the rows left span the kernel of A
-  (`symplectic_complement`).
+  the cut (`restrict_to_cut`).
 
-The isotropy check is the Gram matrix of the symplectic form, a
-Four-Russians product of the basis with its half-swapped transpose, the
-same transpose whose kernel is the symplectic complement. `_transpose` is
-the one bit transpose; the tableau uses it too.
+The symplectic complement needs no elimination of its own: each free
+column of a canonical basis names one kernel vector, read off the RREF,
+and swapping its X and Z halves puts it in the complement. The isotropy
+check is the Gram matrix of the symplectic form, a Four-Russians product
+of the basis with its half-swapped transpose. `_transpose` is the one bit
+transpose; the complement and the tableau use it too.
 """
 
 from __future__ import annotations
@@ -129,6 +129,8 @@ def _pack(rows: Iterable[int], words: int) -> np.ndarray:
             view[i * size : (i + 1) * size] = r.to_bytes(size, "little")
     except OverflowError:
         raise ValueError(f"row out of range for {64 * words} bits") from None
+    except AttributeError:
+        raise ValueError(f"rows must be ints, got {type(r).__name__}") from None
     return np.frombuffer(data, dtype="<u8").reshape(-1, words)
 
 
@@ -267,24 +269,20 @@ def _identity(width: int) -> np.ndarray:
     return out
 
 
-def _swapped_transpose(rows: np.ndarray, n: int) -> np.ndarray:
-    """Bit transpose of packed rows over F2^(2n) with its X and Z rows
-    exchanged: row c holds coordinate (c + n) mod 2n of every input row, so
-    a vector's dot product with column i is its symplectic product with
-    rows[i]. Rows from 2n up are zero."""
-    t = _transpose(rows)
-    for lo in range(0, n, 64):  # a block at a time, so the copy stays small
-        hi = min(lo + 64, n)
-        x = t[lo:hi].copy()
-        t[lo:hi] = t[n + lo : n + hi]
-        t[n + lo : n + hi] = x
-    return t
+def _pivots(rows: np.ndarray) -> np.ndarray:
+    """The lowest set bit of each nonzero packed row."""
+    first = (rows != 0).argmax(axis=1)
+    word = rows[np.arange(len(rows)), first]
+    return 64 * first + np.bitwise_count((word & (~word + np.uint64(1))) - np.uint64(1))
 
 
 def _checked_rows(rows: Iterable[int] | np.ndarray, n: int) -> np.ndarray:
     """A writable packed copy of rows over F2^(2n): Python ints, or an
-    integer (m, words) matrix. Rejects negative rows and any bit at or
-    above 2n, stray bits in the last word included."""
+    integer (m, words) matrix. Rejects n < 1, rows that are not ints,
+    negative rows and any bit at or above 2n, stray bits in the last word
+    included."""
+    if n < 1:
+        raise ValueError(f"qubit count must be positive, got {n}")
     words = _words(2 * n)
     if isinstance(rows, np.ndarray):
         if rows.ndim != 2 or rows.shape[1] != words or rows.dtype.kind not in "iu":
@@ -320,13 +318,9 @@ class Subspace:
         words = _words(2 * self.n)
         if not isinstance(rows, np.ndarray) or rows.dtype != np.uint64 or rows.shape[1:] != (words,):
             raise ValueError(f"basis must be a packed (rank, {words}) uint64 matrix")
-        nonzero = rows != 0
-        if not nonzero.any(axis=1).all():
+        if not rows.any(axis=1).all():
             raise ValueError("zero vector in basis")
-        first = nonzero.argmax(axis=1)
-        word = rows[np.arange(len(rows)), first]
-        pivots = 64 * first + np.bitwise_count((word & (~word + np.uint64(1))) - np.uint64(1))
-        if (np.diff(pivots) <= 0).any():
+        if (np.diff(_pivots(rows)) <= 0).any():
             raise ValueError("basis is not in canonical RREF order")
         rows.flags.writeable = False
 
@@ -335,7 +329,7 @@ class Subspace:
         """Span of rows given as Python ints (SympVec.bits values) or as a
         packed integer (m, words) matrix, which is left unchanged."""
         mat = _checked_rows(rows, n)
-        return cls(n, mat[_eliminate(mat, -1)])
+        return cls(n, mat[_eliminate(mat, (1 << (2 * n)) - 1)])
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
@@ -389,25 +383,22 @@ def span(vectors: Iterable[SympVec], n: int | None = None) -> Subspace:
     return Subspace.from_bit_rows(n, (v.bits for v in vecs))
 
 
-def _kernel_basis(at: np.ndarray, width: int) -> np.ndarray:
-    """Packed basis of {x : A x = 0}, given A^T as `width` packed rows.
-
-    Row c of the matrix [I | A^T] pairs the unit vector e_c with column c of
-    A. Eliminating with pivots only in the A^T part leaves width - rank(A)
-    rows that are zero there, and the identity part x of each has A x = 0.
-    """
-    words = _words(width)
-    aug = np.concatenate((_identity(width), at), axis=1)
-    pivots = set(_eliminate(aug, -1 << (64 * words)))
-    return aug[[i for i in range(width) if i not in pivots], :words]
-
-
 def symplectic_complement(t: Subspace) -> Subspace:
     """T-perp = {x : [v, x] = 0 for all v in T}: the kernel of the basis
-    matrix with its halves swapped."""
+    matrix, with its halves swapped.
+
+    The basis is an RREF, so each free column f names one kernel vector:
+    e_f plus e_p for each pivot p whose row is set at f. That vector is
+    column f of the identity with each pivot row XORed with its basis row.
+    """
     n = t.n
-    at = _swapped_transpose(t.rows, n)[: 2 * n]
-    return Subspace.from_bit_rows(n, _kernel_basis(at, 2 * n))
+    pivots = _pivots(t.rows)
+    cols = _identity(2 * n)
+    cols[pivots] ^= t.rows
+    # rolling the coordinates by n swaps the halves of every column
+    perp = _transpose(np.roll(cols, n, axis=0))[: 2 * n]
+    del cols
+    return Subspace.from_bit_rows(n, np.delete(perp, pivots, axis=0))
 
 
 def restrict_to_cut(s: Subspace, side: Iterable[int]) -> Subspace:
@@ -440,7 +431,7 @@ def is_isotropic(s: Subspace) -> bool:
     only.
     """
     m = s.rank
-    swapped = _swapped_transpose(s.rows, s.n)
+    swapped = np.roll(_transpose(s.rows)[: 2 * s.n], s.n, axis=0)
     coeffs = s.rows.view(np.uint8).T
     words = swapped.shape[1]
     width = max(1, _ISOTROPY_BLOCK_BYTES // (8 * max(m, 1)))

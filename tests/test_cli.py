@@ -220,6 +220,14 @@ def test_estimate_auto_routes_t_to_dense(tmp_path, capsys):
     assert rec["samples_used"] > 0
 
 
+def test_estimate_one_qubit_defaults_epsilon_to_a_quarter(tmp_path, capsys):
+    # default_epsilon = 1/(8n) is defined from n = 2; at n = 1 the CLI uses 1/4
+    path = _write(tmp_path, "one.qc", "qubits 1\nH 1\nT 1\n")
+    code, out, _ = _run(capsys, "estimate", path, "--cut", "1", "--seed", "0")
+    assert code == 0
+    assert json.loads(out)["epsilon"] == 0.25
+
+
 def test_estimate_promise_violation_exit_4(tmp_path, capsys):
     # one T gate but a k = 0 promise: dim S = 1 < n - k = 2
     path = _write(tmp_path, "magic.qc", MAGIC2)

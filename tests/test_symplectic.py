@@ -128,6 +128,11 @@ def test_span_equals_dense_rref(n, seed, kind):
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["dense", "low-rank", "sparse"]),
 )
+@example(n=31, seed=3, kind="dense")  # 2n = 62: one word, two bits spare
+@example(n=32, seed=4, kind="low-rank")  # 2n = 64: exactly one word
+@example(n=33, seed=5, kind="sparse")  # 2n = 66: a second word of 2 bits
+@example(n=64, seed=6, kind="dense")  # 2n = 128: exactly two words
+@example(n=65, seed=7, kind="low-rank")  # 2n = 130: a third word of 2 bits
 def test_complement_rank_and_orthogonality(n, seed, kind):
     sub = Subspace.from_bit_rows(n, _structured_rows(np.random.default_rng(seed), 2 * n, kind))
     comp = symplectic_complement(sub)
@@ -138,7 +143,7 @@ def test_complement_rank_and_orthogonality(n, seed, kind):
 
 
 @pytest.mark.parametrize("width", [63, 64, 65, 127, 128, 129])
-def test_rref_and_kernel_at_word_boundaries(width):
+def test_rref_at_word_boundaries(width):
     rng = np.random.default_rng(width)
     top = 1 << (width - 1)
     cases = [
@@ -154,11 +159,6 @@ def test_rref_and_kernel_at_word_boundaries(width):
         want = helpers.dense_gf2_rref(rows, width)
         mat = symplectic._pack(rows, words)
         assert symplectic._unpack(mat[symplectic._eliminate(mat, -1)]) == want
-        at = symplectic._transpose(symplectic._pack(rows, words))[:width]
-        kernel = symplectic._unpack(symplectic._kernel_basis(at, width))
-        assert len(kernel) == width - len(want)
-        assert helpers.dense_gf2_rank(kernel, width) == len(kernel)
-        assert all((r & x).bit_count() % 2 == 0 for r in rows for x in kernel)
 
 
 def test_span_and_restrict_peak_memory_is_small():
@@ -199,6 +199,12 @@ def test_from_bit_rows_rejects_a_bit_just_past_2n(n):
                 Subspace.from_bit_rows(n, symplectic._pack(rows, words))
     with pytest.raises(ValueError, match="out of range"):
         Subspace.from_bit_rows(n, np.full((2, words), -1, dtype=np.int64))
+    # rows that are not ints, and a qubit count below 1, fail before packing
+    for rows, name in (([top, SympVec(n, top)], "SympVec"), ([1.0], "float")):
+        with pytest.raises(ValueError, match=f"rows must be ints, got {name}"):
+            Subspace.from_bit_rows(n, rows)
+    with pytest.raises(ValueError, match="qubit count must be positive"):
+        Subspace.from_bit_rows(0, [])
 
 
 def test_kernels_leave_their_inputs_unchanged():

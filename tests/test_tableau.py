@@ -123,22 +123,30 @@ def test_simulate_clifford_peak_memory_is_small():
 
 
 @pytest.mark.parametrize(
-    "n, rows, signs",
+    "n, rows, signs, match",
     [
-        (2, ("XI", "ZI"), (0, 0)),  # anticommuting
-        (2, ("ZI", "ZI"), (0, 0)),  # dependent
-        (2, ("ZI",), (0,)),  # wrong row count
-        (2, ("ZI", "IZ"), (0,)),  # wrong sign count
-        (2, ("ZI", "IZI"), (0, 0)),  # a row over the wrong n
-        (2, ("ZIZ", "IZI"), (0, 0)),  # every row over the wrong n
+        (2, ("XI", "ZI"), (0, 0), None),  # anticommuting
+        (2, ("ZI", "ZI"), (0, 0), None),  # dependent
+        (2, ("ZI",), (0,), None),  # wrong row count
+        (2, ("ZI", "IZ"), (0,), None),  # wrong sign count
+        (2, ("ZI", "IZI"), (0, 0), None),  # a row over the wrong n
+        (2, ("ZIZ", "IZI"), (0, 0), None),  # every row over the wrong n
+        (2, (from_pauli_string("ZI"), "IZ"), (0, 0), "got SympVec"),  # not an int
+        (2, (8.0, "IZ"), (0, 0), "got float"),
+        (0, (), (), "qubit count must be positive"),
     ],
-    ids=["anticommuting", "dependent", "rows", "signs", "row-n", "all-n"],
+    ids=[
+        "anticommuting", "dependent", "rows", "signs", "row-n", "all-n", "sympvec", "float", "n0"
+    ],
 )
-def test_tableau_rejects_invalid_rows(n, rows, signs):
-    bits = [from_pauli_string(r).bits for r in rows]
-    # as ints, and as a packed matrix: every case fits one uint64 word
-    for form in (bits, np.array(bits, dtype=np.uint64)[:, None]):
-        with pytest.raises(ValueError):
+def test_tableau_rejects_invalid_rows(n, rows, signs, match):
+    bits = [from_pauli_string(r).bits if isinstance(r, str) else r for r in rows]
+    forms = [bits]
+    if all(isinstance(b, int) for b in bits):
+        # as a packed matrix too: every int case fits one uint64 word
+        forms.append(np.array(bits, dtype=np.uint64).reshape(-1, 1))
+    for form in forms:
+        with pytest.raises(ValueError, match=match):
             Tableau(n, form, signs)
 
 
