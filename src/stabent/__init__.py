@@ -49,6 +49,7 @@ from .symplectic import (
     to_pauli_string,
 )
 from .tableau import (
+    TABLEAU_CAP,
     Tableau,
     conjugate_vector,
     simulate_clifford,
@@ -79,6 +80,7 @@ __all__ = [
     "StateVector",
     "Subspace",
     "SympVec",
+    "TABLEAU_CAP",
     "Tableau",
     "bell_difference_sample_bits",
     "bell_pair_ensemble",

@@ -5,18 +5,21 @@ Circuit file grammar (1-based qubit indices, `#` starts a comment):
     qubits N
     H q | S q | X q | Y q | Z q | T q | TDG q | CNOT a b
 
-Clifford circuits run on the tableau backend at any n; every other circuit
-runs on the dense backend, which refuses more than DEFAULT_DENSE_CAP qubits.
+Clifford circuits run on the tableau backend, which refuses more than
+TABLEAU_CAP qubits; every other circuit runs on the dense backend, which
+refuses more than DEFAULT_DENSE_CAP qubits.
 
 `estimate --epsilon` defaults to default_epsilon(n) = 1/(8n) for n >= 2,
 and to 0.25 at n = 1, where default_epsilon is not defined.
 
 `estimate` checks its input in this order: the file and the cut (exit 2),
 the dense cap (exit 3), the run settings --epsilon, --delta and --k/--t in
-one EstimatorParams (exit 2), and only then simulates and estimates.
+one EstimatorParams (exit 2), and only then simulates and estimates; the
+tableau cap (exit 3) is checked as the tableau simulation starts.
 
-Exit codes: 0 ok, 2 parse/config error, 3 dense cap exceeded,
-4 promise violation, 5 internal fault (a broken runtime invariant).
+Exit codes: 0 ok, 2 parse/config error, 3 qubit cap exceeded (dense or
+tableau), 4 promise violation, 5 internal fault (a broken runtime
+invariant).
 """
 
 from __future__ import annotations

@@ -41,10 +41,11 @@ __all__ = [
 
 
 # The most Bell-difference samples one call may ask for. A sample is two
-# draws, and each draw holds one float64 uniform that its packed int64 value
-# overwrites, plus, while its X half is mapped, one int64 index: at most 32
-# bytes per sample, and near 24 when no one X half holds most draws. So this
-# bounds a draw near 0.54 GB; the default n = 12 run needs 480,697.
+# draws, each one int64 in the buffer the draws are counted into, shuffled
+# and paired in, plus one uint64 for the sample the pair XORs to: 24 bytes
+# per sample, beside row batches of a few MB at any count. A traced draw of
+# 2^22 samples peaked at 101 MB (n = 8) and one of 2^21 at 52 MB (n = 12),
+# so this bounds a draw near 0.40 GB; the default n = 12 run needs 480,697.
 MAX_SAMPLE_COUNT = 1 << 24
 
 

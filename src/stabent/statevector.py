@@ -3,12 +3,12 @@ Bell difference sampling, and the exact entanglement entropy oracle.
 
 The characteristic distribution p(a|b) = 2^-n <psi|W_(a|b)|psi>^2 has 4^n
 points but is never tabulated. A batch of draws from it is made as its
-sorted multiset, in two exact steps: how many draws take each X half a, as
-one multinomial over the marginal p_X, which is the XOR autocorrelation of
-|psi|^2 (two length-2^n Walsh-Hadamard transforms); then the Z halves b of
-those draws, as sorted uniforms mapped through the inverse CDF of
-p(a|b) / p_X(a). That CDF comes from the expectation row of a; the rows of
-every a are streamed in row batches. Each row costs one complex
+multiset, a count per cell, in two exact multinomial steps: first how many
+draws fall in each batch of X halves, weighted by the X-half marginal p_X
+(the XOR autocorrelation of |psi|^2, two length-2^n Walsh-Hadamard
+transforms); then, within each batch, how many fall on each of its nonzero
+cells (a, b), weighted by <W_(a|b)>^2. The rows of every a are streamed in
+row batches of about `weyl._ROW_BLOCK_BYTES`. Each row costs one complex
 Walsh-Hadamard transform of length 2^(n-1), done as real matrix products
 (`weyl.expectation_rows`). Memory is O(2^n * block + samples).
 
@@ -44,6 +44,12 @@ _T_PHASE = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
 # at or below this are set to zero, and each drawn row's sum must match its
 # p_X value to within it, so a drawn X half never has an empty row.
 _MARGINAL_TOL = 1e-12
+
+# A drawn cell needs <W>^2 above this. Where <W> is zero, rounding leaves
+# <W>^2 up to ~2.5e-32; on Clifford+T states (n = 8-12, t = 1-30) every
+# other cell measured at least 0.0156. The cut drops at most 2^n * 1e-24
+# of p's mass.
+_CELL_TOL = 1e-24
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,24 +150,6 @@ def characteristic_distribution(psi: StateVector) -> CharacteristicDistribution:
     return CharacteristicDistribution(n, psi.amplitudes, marginal)
 
 
-def _inverse_cdf_sorted(cdf: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """`np.searchsorted(cdf, keys, side="right")` for sorted `keys`.
-
-    Both are sorted, so the merge can run from the shorter side: with more
-    keys than cdf entries, the keys below each entry are counted in one
-    search and the indices rebuilt from those counts. Both sides return the
-    same array.
-    """
-    if keys.size <= cdf.size:
-        return np.searchsorted(cdf, keys, side="right")
-    # below[i + 1] keys lie below cdf[i]; np.diff with prepend/append costs
-    # more than the search at these sizes.
-    below = np.empty(cdf.size + 2, dtype=np.intp)
-    below[0], below[-1] = 0, keys.size
-    below[1:-1] = np.searchsorted(keys, cdf, side="left")
-    return np.repeat(np.arange(cdf.size + 1), below[1:] - below[:-1])
-
-
 def bell_difference_sample_bits(
     dist: CharacteristicDistribution, rng: np.random.Generator, count: int
 ) -> np.ndarray:
@@ -169,21 +157,22 @@ def bell_difference_sample_bits(
 
     Each output is the XOR of two independent draws from p, which is
     distributed exactly as the convolution. The 2 * count draws are made as
-    their sorted multiset, then shuffled: an i.i.d. sequence is its sorted
-    multiset in uniformly random order. The multiset takes two exact steps.
-    The X halves' histogram is one multinomial over the support of p_X,
-    which is how the X halves of i.i.d. draws are distributed. Then the c_a
-    Z halves of X half a are c_a sorted uniforms mapped through the inverse
-    CDF of the squared expectation row of a; the inverse CDF is monotone, so
-    they come out as the sorted multiset of c_a i.i.d. draws from p(.|a).
-    Deterministic given the generator. The uint64 array, one SympVec.bits
-    value per sample, is the sample format estimate_entropy takes.
+    their multiset, then shuffled: an i.i.d. sequence is its multiset in
+    uniformly random order. The multiset takes two exact steps. A
+    multinomial over all cells, conditioned on the total of each group of
+    cells, is one multinomial per group; so the draws are first split over
+    the row batches by one multinomial on the batches' p_X mass, then each
+    batch's share is split over its cells by one multinomial on
+    <W_(a|b)>^2. Cells with <W>^2 <= _CELL_TOL, and cells whose X half has
+    p_X = 0, are rounding residue and no category. Deterministic given the
+    generator. The uint64 array, one SympVec.bits value per sample, is the
+    sample format estimate_entropy takes.
 
-    Every X half's row is computed, in row batches, whether or not it was
-    drawn, and each must sum to its p_X value, zeros included. So the
-    whole marginal the X halves came from is checked against p, and the
-    work is set by n and count alone, not by the support of p_X, which
-    ranges from 1 to 2^n points between states.
+    Every X half's row is computed, whether or not its batch was drawn, and
+    each must sum to its p_X value, zeros included. So the whole marginal
+    the batches were weighted by is checked against p, and the row work is
+    set by n alone, not by the support of p_X, which ranges from 1 to 2^n
+    points between states.
     """
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise ValueError(f"count must be an int, got {count!r}")
@@ -191,40 +180,43 @@ def bell_difference_sample_bits(
         raise ValueError(f"count must be nonnegative, got {count}")
     n = dist.n
     size = 1 << n
-    # numpy hands any rounding remainder to the last category, so only
-    # points with p_X > 0 are categories.
-    support = np.flatnonzero(dist.marginal)
-    p = dist.marginal[support]
-    draws = np.zeros(size, dtype=np.int64)
-    draws[support] = rng.multinomial(2 * count, p / p.sum())
-    # The draws with X half a sit at bounds[a]:bounds[a + 1].
-    bounds = np.concatenate(([0], np.cumsum(draws)))
-    u = rng.random(2 * count)
     block = _rows_per_block(n)
-    for start in range(0, size, block):
-        a_vals = np.arange(start, min(start + block, size))
-        # Squared and accumulated in the rows' own buffer: a fresh batch-sized
-        # array costs page faults comparable to the arithmetic on it.
-        sq = expectation_rows(dist.amplitudes, a_vals)
+    # numpy hands any rounding remainder to the last category, so only
+    # batches and cells of positive mass are categories.
+    mass = np.add.reduceat(dist.marginal, np.arange(0, size, block))
+    live = np.flatnonzero(mass)
+    per_batch = np.zeros(mass.size, dtype=np.int64)
+    per_batch[live] = rng.multinomial(2 * count, mass[live] / mass[live].sum())
+    # Each run of equal draws holds, at its first slot, the step from the
+    # value before it; one cumsum at the end fills the runs in place.
+    packed = np.zeros(2 * count, dtype=np.int64)
+    filled = last = 0
+    for batch, start in enumerate(range(0, size, block)):
+        stop = min(start + block, size)
+        # Squared in the rows' own buffer: a fresh batch-sized array costs
+        # page faults comparable to the arithmetic on it.
+        sq = expectation_rows(dist.amplitudes, np.arange(start, stop))
         np.square(sq, out=sq)
-        miss = np.abs(sq.sum(axis=1) / size - dist.marginal[a_vals]).max()
+        miss = np.abs(sq.sum(axis=1) / size - dist.marginal[start:stop]).max()
         if miss > _MARGINAL_TOL:
             raise RuntimeError(f"expectation rows miss the X marginal by {miss:.3e}")
-        cdf = np.cumsum(sq, axis=1, out=sq)
-        # A row that sums to 0 stays 0, and is never drawn; every other ends
-        # at exactly 1, above every u.
-        cdf /= np.maximum(cdf[:, -1:], np.finfo(float).tiny)
-        for a in a_vals[draws[a_vals] > 0]:
-            keys = u[bounds[a] : bounds[a + 1]]
-            keys.sort()
-            # The packed draws overwrite the uniforms they were mapped from.
-            packed = keys.view(np.int64)
-            packed[:] = _inverse_cdf_sorted(cdf[a - start], keys)
-            packed <<= n
-            packed |= a
-    b = u.view(np.int64)
-    rng.shuffle(b)
-    return np.bitwise_xor(b[:count], b[count:]).view(np.uint64)
+        if not per_batch[batch]:
+            continue
+        cells = sq > _CELL_TOL
+        cells[dist.marginal[start:stop] == 0] = False
+        cell = np.flatnonzero(cells)
+        weight = sq.ravel()[cell]
+        hits = rng.multinomial(per_batch[batch], weight / weight.sum())
+        drawn = np.flatnonzero(hits)
+        cell, runs = cell[drawn], hits[drawn]
+        # Flat cell i is row i >> n (X half start + (i >> n)), column b = i mod 2^n.
+        vals = ((cell & (size - 1)) << n) | (start + (cell >> n))
+        packed[filled + np.cumsum(runs) - runs] = np.diff(vals, prepend=last)
+        filled += per_batch[batch]
+        last = vals[-1]
+    np.cumsum(packed, out=packed)
+    rng.shuffle(packed)
+    return np.bitwise_xor(packed[:count], packed[count:]).view(np.uint64)
 
 
 def entanglement_entropy_oracle(psi: StateVector, cut: Cut) -> float:

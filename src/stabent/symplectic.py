@@ -22,7 +22,8 @@ mask says where pivots may fall, and the rows left without a pivot are zero
 on every allowed column:
 
 - all columns allowed: the pivot rows are the canonical RREF (`span`);
-- the columns outside a cut: the rows left span the members supported on
+- the columns outside a cut, eliminating forward only (earlier pivot rows
+  are not cleared again): the rows left span the members supported on
   the cut (`restrict_to_cut`).
 
 The symplectic complement needs no elimination of its own: each free
@@ -188,13 +189,16 @@ def _combine(coeffs: np.ndarray, src: np.ndarray, out: np.ndarray) -> None:
             block[...] = buf
 
 
-def _eliminate(mat: np.ndarray, allowed: int) -> list[int]:
+def _eliminate(mat: np.ndarray, allowed: int, forward: bool = False) -> list[int]:
     """Gauss-Jordan elimination of a packed matrix in place, pivoting only on
     the columns set in `allowed`; returns the pivot rows by pivot column.
 
-    Afterwards each pivot column is set in its pivot row alone, and every
-    other row is zero on all allowed columns. The row operations are
-    invertible, so the rows span what they spanned before.
+    Afterwards every row that is not a pivot row is zero on all allowed
+    columns, and each pivot column is set in its pivot row alone. The row
+    operations are invertible, so the rows span what they spanned before.
+    With `forward`, rows that became pivots in an earlier word are not
+    updated again: the rows left without a pivot come out bit for bit as
+    in a full pass, and the pivot rows are fit only to be dropped.
 
     Works one 64-column word at a time. The word's bit columns, as m-bit
     ints, are reduced against each other, each pivot picked among the rows
@@ -243,6 +247,9 @@ def _eliminate(mat: np.ndarray, allowed: int) -> list[int]:
             continue
         k = len(pcols)
         prows = [low.bit_length() - 1 for low in lows]
+        # With `forward`, the rows above the first free row are all earlier
+        # pivots and are skipped; later ones are updated, to no effect.
+        top = (free & -free).bit_length() - 1 if forward else 0
         free &= ~sum(lows)
         groups = (k + 7) // 8
         adds = b"".join((u & rowmask).to_bytes(step, "little") for u in cols)
@@ -256,7 +263,7 @@ def _eliminate(mat: np.ndarray, allowed: int) -> list[int]:
         coeffs[:, prows] = np.packbits(inverse.astype(np.uint8), axis=1, bitorder="little").T
         src = mat[prows]
         lo = int(np.argmax(src.any(axis=0)))
-        _combine(coeffs, src[:, lo:], mat[:, lo:])
+        _combine(coeffs[:, top:], src[:, lo:], mat[top:, lo:])
         order.extend(prows)
     return order
 
@@ -404,9 +411,10 @@ def symplectic_complement(t: Subspace) -> Subspace:
 def restrict_to_cut(s: Subspace, side: Iterable[int]) -> Subspace:
     """Members of s supported only on the given qubits.
 
-    One elimination over a copy of the basis rows, pivoting only on
-    coordinates outside `side`: the rows left without a pivot are zero
-    there, and they are a basis of the restriction.
+    One forward elimination over a copy of the basis rows, pivoting only
+    on coordinates outside `side`: the rows left without a pivot are zero
+    there, and they are a basis of the restriction. The pivot rows are
+    dropped, so they are never cleared.
     """
     n = s.n
     qubits = set(side)
@@ -416,7 +424,7 @@ def restrict_to_cut(s: Subspace, side: Iterable[int]) -> Subspace:
     for q in qubits:
         keep |= (1 << (n - q)) | (1 << (2 * n - q))
     mat = s.rows.copy()
-    pivots = _eliminate(mat, ((1 << (2 * n)) - 1) & ~keep)
+    pivots = _eliminate(mat, ((1 << (2 * n)) - 1) & ~keep, forward=True)
     # the rows left are zero outside `keep`, so their RREF pivots lie in it
     inside = np.delete(mat, pivots, axis=0)
     return Subspace(n, inside[_eliminate(inside, keep)])

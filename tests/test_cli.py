@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
-from stabent import random_clifford_t_circuit
+from stabent import TABLEAU_CAP, random_clifford_t_circuit, tableau
 from stabent.cli import CircuitParseError, format_circuit, main, parse_circuit
 
 import numpy as np
@@ -131,6 +132,28 @@ def test_dense_cap_exit_3(tmp_path, capsys, argv):
     code, out, err = _run(capsys, *(a.format(wide=wide) for a in argv))
     assert code == 3 and out == ""
     assert "exceeds dense cap 12" in err
+
+
+@pytest.mark.parametrize("command", [["estimate", "--cut", "1"], ["weyl"]])
+def test_tableau_cap_exit_3(tmp_path, capsys, command):
+    """A Clifford file one qubit past the tableau cap is refused before any
+    gate is applied, so it exits at once rather than after hours."""
+    n = TABLEAU_CAP + 1
+    wide = _write(tmp_path, "wide.qc", f"qubits {n}\nH 1\nCNOT 1 {n}\n")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, command[0], wide, *command[1:])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert f"exceeds tableau cap {TABLEAU_CAP}" in err
+
+
+def test_tableau_cap_is_inclusive(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tableau, "TABLEAU_CAP", 3)
+    at_cap = _write(tmp_path, "three.qc", "qubits 3\nH 1\nCNOT 1 3\n")
+    past = _write(tmp_path, "four.qc", "qubits 4\nH 1\nCNOT 1 4\n")
+    assert _run(capsys, "weyl", at_cap)[0] == 0
+    code, _, err = _run(capsys, "weyl", past)
+    assert code == 3 and "exceeds tableau cap 3" in err
 
 
 @pytest.mark.parametrize("text", [EPR, MAGIC2])

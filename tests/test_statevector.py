@@ -3,6 +3,7 @@ and the entanglement entropy oracle."""
 
 from __future__ import annotations
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -32,7 +33,7 @@ from stabent import (
     weyl_expectation,
     weyl_group_oracle,
 )
-from stabent import statevector
+from stabent import statevector, weyl
 
 _SQRT1_2 = 1 / np.sqrt(2)
 
@@ -285,79 +286,120 @@ def test_bell_sample_count_must_be_a_nonnegative_int():
         assert bits.dtype == np.uint64 and bits.shape == (int(ok),)
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(1, 6))
-def test_inverse_cdf_merge_matches_searchsorted(data, n):
-    """The sorted-key merge equals a plain right-sided search, with more
-    keys than cdf entries, as many, or fewer; through zero plateaus; and on
-    keys that equal cdf entries, including 0 and the final 1."""
-    size = 1 << n
-    weights = np.array(
-        data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)),
-        dtype=float,
-    )
-    weights[data.draw(st.integers(0, size - 1))] += 1.0  # a row that is drawn
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    count = data.draw(
-        st.one_of(
-            st.sampled_from([0, 1, size - 1, size, size + 1]),
-            st.integers(0, 4 * size),
-        )
-    )
-    key = st.one_of(st.sampled_from([0.0, *cdf]), st.floats(0.0, 1.0, exclude_max=True))
-    keys = np.sort(
-        np.array(data.draw(st.lists(key, min_size=count, max_size=count)), dtype=float)
-    )
-    got = statevector._inverse_cdf_sorted(cdf, keys)
-    want = np.searchsorted(cdf, keys, side="right")
-    assert np.array_equal(got, want)
-
-
 class _RecordingGenerator:
-    """A generator that records the X-half multinomial the sampler draws."""
+    """A generator that records the weights of every multinomial the sampler
+    draws and the multiset of packed draws it shuffles."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
-        self.pvals = self.drawn = None
+        self.pvals: list[np.ndarray] = []
+        self.multiset = None
 
     def multinomial(self, total, pvals):
-        self.pvals = np.asarray(pvals)
-        self.drawn = self._rng.multinomial(total, pvals)
-        return self.drawn
+        self.pvals.append(np.asarray(pvals))
+        return self._rng.multinomial(total, pvals)
+
+    def shuffle(self, x):
+        self.multiset = np.sort(x)
+        self._rng.shuffle(x)
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
 
 
+def _generic_state(n, seed):
+    amps = np.array([1.0, 1j]) @ np.random.default_rng(seed).normal(size=(2, 1 << n))
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
 def test_x_half_histogram_tv_against_marginal():
     """A generic state, whose p_X is far from uniform on its support."""
     n, count = 4, 50_000
-    amps = np.array([1.0, 1j]) @ np.random.default_rng(5).normal(size=(2, 1 << n))
-    dist = characteristic_distribution(StateVector(n, amps / np.linalg.norm(amps)))
+    dist = characteristic_distribution(_generic_state(n, 5))
     rng = _RecordingGenerator(6)
     bell_difference_sample_bits(dist, rng, count)
-    hist = np.zeros(1 << n)
-    hist[np.flatnonzero(dist.marginal)] = rng.drawn
+    hist = np.bincount(rng.multiset & ((1 << n) - 1), minlength=1 << n)
     assert hist.sum() == 2 * count
     tv = 0.5 * float(np.abs(hist / (2 * count) - dist.marginal).sum())
     assert tv < 0.02
 
 
+@contextlib.contextmanager
+def _rows_per_batch(n, rows):
+    """Sample in row batches of `rows` rows (None: the default size)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(weyl, "_ROW_BLOCK_BYTES", rows * (16 << n))
+        yield
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_draw_histogram_tv_against_characteristic_table(n, rows):
+    """Every one of the 4^n cells (a generic state has p > 0 on all of
+    them) against p itself, not only the X halves; in one row batch, and
+    split over batches of 1 and 3 rows, so the batch multinomial is
+    checked too."""
+    count = 200_000
+    psi = _generic_state(n, 40 + n)
+    rng = _RecordingGenerator(7)
+    with _rows_per_batch(n, rows):
+        bell_difference_sample_bits(characteristic_distribution(psi), rng, count)
+    hist = np.bincount(rng.multiset, minlength=1 << (2 * n))
+    tv = 0.5 * float(np.abs(hist / (2 * count) - helpers.characteristic_table(psi)).sum())
+    assert tv < 0.02
+
+
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 5), t=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
-def test_no_x_half_drawn_where_marginal_is_zero(n, t, seed):
+@given(
+    n=st.integers(1, 5),
+    t=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.sampled_from([None, 1, 2]),
+)
+def test_no_x_half_drawn_where_marginal_is_zero(n, t, seed, rows):
     """numpy hands the multinomial's rounding remainder to its last
-    category, so every category must have p_X > 0; and no sample carries
-    an X half that two draws from the support cannot make."""
+    category, so every category, row batches included, must have positive
+    weight, and none may be a residue cell; no draw lands on a cell where p
+    is zero; and no sample carries an X half that two draws from the
+    support of p_X cannot make."""
     psi = simulate_circuit(random_clifford_t_circuit(n, t, np.random.default_rng(seed)))
     dist = characteristic_distribution(psi)
-    support = np.flatnonzero(dist.marginal)
     rng = _RecordingGenerator(seed)
-    bits = bell_difference_sample_bits(dist, rng, 500)
-    assert (rng.pvals > 0).all() and rng.drawn.size == support.size
+    with _rows_per_batch(n, rows):
+        bits = bell_difference_sample_bits(dist, rng, 500)
+    # Categories carry real weight: <W>^2 > 1e-6 on these states (the
+    # property below), never rounding residue near 1e-32.
+    assert all((pvals > 1e-12).all() for pvals in rng.pvals)
+    table = helpers.characteristic_table(psi)
+    assert table[rng.multiset].min() > statevector._CELL_TOL / (1 << n)
+    support = np.flatnonzero(dist.marginal)
     pair_xors = set((support[:, None] ^ support[None, :]).ravel().tolist())
     assert set((bits & ((1 << n) - 1)).tolist()) <= pair_xors
+
+
+def test_x_half_cut_from_the_marginal_is_no_category():
+    """cos(h)|0> + sin(h)|1> with h^2 = 2.5e-13 has p_X(1) ~ 5e-13, which
+    the marginal sets to 0; its row still holds <X>^2 ~ 1e-12, above the
+    cell cut, but no cell of an X half with p_X = 0 is a category."""
+    h = 5e-7
+    dist = characteristic_distribution(StateVector(1, np.array([np.cos(h), np.sin(h)])))
+    assert dist.marginal[1] == 0.0
+    rng = _RecordingGenerator(0)
+    bell_difference_sample_bits(dist, rng, 100)
+    assert [len(pvals) for pvals in rng.pvals] == [1, 2]  # one batch; cells I and Z
+    assert (rng.multiset & 1 == 0).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8), t=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_squared_expectations_leave_a_gap_around_the_cell_cut(n, t, seed):
+    """The sampler drops cells with <W>^2 <= _CELL_TOL as rounding residue.
+    On Clifford+T states every <W>^2 is either residue or a real value well
+    clear of the cut."""
+    psi = simulate_circuit(random_clifford_t_circuit(n, t, np.random.default_rng(seed)))
+    sq = statevector.expectation_rows(psi.amplitudes, np.arange(1 << n)) ** 2
+    assert not ((sq > statevector._CELL_TOL) & (sq < 1e-6)).any()
 
 
 def test_entropy_examples():

@@ -161,6 +161,27 @@ def test_rref_at_word_boundaries(width):
         assert symplectic._unpack(mat[symplectic._eliminate(mat, -1)]) == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    width=st.sampled_from([5, 64, 65, 130]),
+    kind=st.sampled_from(["dense", "low-rank", "sparse"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_elimination_leaves_the_same_rows(width, kind, seed):
+    """A forward pass picks the pivots of a full pass, and the rows left
+    without a pivot come out bit for bit the same; only the pivot rows,
+    which restrict_to_cut drops, may differ."""
+    rng = np.random.default_rng(seed)
+    rows = _structured_rows(rng, width, kind)
+    allowed = helpers.rand_bits(rng, width)
+    full = symplectic._pack(rows, (width + 63) // 64)
+    forward = full.copy()
+    pivots = symplectic._eliminate(full, allowed)
+    assert symplectic._eliminate(forward, allowed, forward=True) == pivots
+    left = np.setdiff1d(np.arange(len(rows)), pivots)
+    assert np.array_equal(forward[left], full[left])
+
+
 def test_span_and_restrict_peak_memory_is_small():
     # 1000 rows of 2000 bits pack into 1000 x 32 words x 8 B = 256 kB; the
     # kernel gathers its table rows in blocks, so neither call, output
