@@ -48,7 +48,7 @@ from .symplectic import Cut, to_pauli_string
 from .tableau import simulate_clifford, weyl_group_from_tableau
 from .weyl import CapExceededError, weyl_group_oracle
 
-__all__ = ["CircuitParseError", "format_circuit", "main", "parse_circuit"]
+__all__ = ["CircuitParseError", "main", "parse_circuit"]
 
 
 class CircuitParseError(ValueError):
@@ -105,12 +105,6 @@ def parse_circuit(text: str) -> Circuit:
     if n is None:
         raise CircuitParseError("missing 'qubits N' header")
     return _circuit(n, gates, linenos)
-
-
-def format_circuit(c: Circuit) -> str:
-    lines = [f"qubits {c.n}"]
-    lines += [" ".join((g.name, *map(str, g.qubits))) for g in c.gates]
-    return "\n".join(lines) + "\n"
 
 
 def _load_circuit(path: str) -> Circuit:
@@ -238,16 +232,8 @@ def _cmd_distinguish(args) -> int:
     n = args.n
     high = bell_pair_ensemble(n)
     low = magic_product_ensemble(n, t=args.t_prime)
-    cut = Cut(n, frozenset(range(1, n // 2 + 1)))
     result = distinguish(
-        high,
-        low,
-        args.t_prime,
-        cut,
-        args.delta,
-        trials=args.trials,
-        seed=args.seed,
-        epsilon=args.epsilon,
+        high, low, args.delta, trials=args.trials, seed=args.seed, epsilon=args.epsilon
     )
     record = result.to_dict()
     record.update(

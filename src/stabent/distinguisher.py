@@ -1,9 +1,11 @@
 """Ensemble distinguishing harness.
 
-Given copies drawn from one of two constructed ensembles whose entropy
-levels at a fixed half cut differ by more than 2 t', the estimator's bound
-width u - l <= 2 t' forces the interval to contain at most one level, so
-checking whether the high level lies inside the interval decides the
+Two constructed ensembles on n qubits fix everything the distinguisher
+needs: n, the half cut (qubits 1..n/2 against the rest), their entropy
+levels at that cut, and t', the larger of their two non-Clifford budgets.
+When the levels differ by more than 2 t', the estimator run with k = 2 t'
+gives bounds of width u - l <= 2 t', so the interval contains at most one
+level, and checking whether the high level lies inside it decides the
 ensemble. The ensembles here are explicit (Bell pairs across the cut versus
 cut-local magic states) with entropy levels known by construction.
 """
@@ -41,10 +43,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """A keyed state family: a seeded circuit generator plus its declared
-    non-Clifford budget and entropy level at the reference cut."""
+    """A keyed state family on n qubits: a seeded circuit generator plus its
+    declared non-Clifford budget and entropy level at the half cut, qubits
+    1..n/2."""
 
     name: str
+    n: int
     t_budget: int
     entropy_level: float
     make_circuit: Callable[[np.random.Generator], Circuit]
@@ -73,27 +77,30 @@ class DistinguisherResult:
         return out
 
 
+def _half_cut_sides(n: int, what: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    if n < 2 or n % 2:
+        raise ValueError(f"{what} ensemble needs even n >= 2")
+    return tuple(range(1, n // 2 + 1)), tuple(range(n // 2 + 1, n + 1))
+
+
 def bell_pair_ensemble(n: int) -> EnsembleSpec:
     """n/2 Bell pairs across the half cut, scrambled by cut-local Cliffords.
 
     Local scrambling leaves the cut entropy at exactly n/2 bits.
     """
-    if n < 2 or n % 2:
-        raise ValueError("bell pair ensemble needs even n >= 2")
+    a_side, b_side = _half_cut_sides(n, "bell pair")
     half = n // 2
-    a_side = tuple(range(1, half + 1))
-    b_side = tuple(range(half + 1, n + 1))
 
     def make(rng: np.random.Generator) -> Circuit:
         gates = []
-        for q in range(1, half + 1):
+        for q in a_side:
             gates.append(Gate("H", (q,)))
             gates.append(Gate("CNOT", (q, q + half)))
         gates += _random_clifford_gates(a_side, rng, 4 * half)
         gates += _random_clifford_gates(b_side, rng, 4 * half)
         return Circuit(n, tuple(gates))
 
-    return EnsembleSpec("bell-pairs", 0, float(half), make)
+    return EnsembleSpec("bell-pairs", n, 0, float(half), make)
 
 
 def magic_product_ensemble(n: int, t: int = 1) -> EnsembleSpec:
@@ -102,11 +109,10 @@ def magic_product_ensemble(n: int, t: int = 1) -> EnsembleSpec:
     All gates stay inside one side of the cut, so the cut entropy is exactly
     0 while the state is genuinely non-stabilizer (each T acts on a |+>).
     """
-    if n < 2 or n % 2:
-        raise ValueError("magic product ensemble needs even n >= 2")
+    a_side, b_side = _half_cut_sides(n, "magic product")
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
     half = n // 2
-    a_side = tuple(range(1, half + 1))
-    b_side = tuple(range(half + 1, n + 1))
 
     def make(rng: np.random.Generator) -> Circuit:
         gates = []
@@ -118,14 +124,12 @@ def magic_product_ensemble(n: int, t: int = 1) -> EnsembleSpec:
         gates += _random_clifford_gates(b_side, rng, 4 * half)
         return Circuit(n, tuple(gates))
 
-    return EnsembleSpec("magic-product", t, 0.0, make)
+    return EnsembleSpec("magic-product", n, t, 0.0, make)
 
 
 def distinguish(
     high: EnsembleSpec,
     low: EnsembleSpec,
-    t_prime: int,
-    cut: Cut,
     delta: float,
     *,
     trials: int = 1,
@@ -134,25 +138,31 @@ def distinguish(
 ) -> DistinguisherResult:
     """Run the estimator-based distinguisher for `trials` coin-flip trials.
 
+    The pair fixes the run: n is their common qubit count, the cut is
+    qubits 1..n/2, and t' is the larger of their non-Clifford budgets.
     Per trial: draw the true ensemble uniformly, prepare a fresh state,
     estimate entropy bounds with k = 2 t', and guess the high ensemble iff
-    its level lies inside [l, u]. Requires the entropy gap to exceed 2 t'
-    and the cut to split the qubits evenly.
+    its level lies inside [l, u]. Requires the entropy gap to exceed 2 t'.
     """
+    n = high.n
+    if low.n != n:
+        raise ValueError(
+            f"ensembles disagree on n: {high.name!r} has {n} qubits, "
+            f"{low.name!r} has {low.n}"
+        )
+    if n < 2 or n % 2:
+        raise ValueError(f"distinguisher needs even n >= 2, got {n}")
     f_level, g_level = high.entropy_level, low.entropy_level
     if f_level <= g_level:
         raise ValueError("high ensemble must have the larger entropy level")
+    t_prime = max(high.t_budget, low.t_budget)
     if f_level - g_level <= 2 * t_prime:
         raise ValueError(
             f"entropy gap {f_level - g_level} does not exceed 2*t' = {2 * t_prime}"
         )
-    if high.t_budget > t_prime or low.t_budget > t_prime:
-        raise ValueError("ensemble non-Clifford budget exceeds t'")
-    n = cut.n
-    if 2 * len(cut.a) != n:
-        raise ValueError("distinguisher cut must have size n/2")
     if trials < 1:
         raise ValueError("need at least one trial")
+    cut = Cut(n, frozenset(range(1, n // 2 + 1)))
     eps = default_epsilon(n) if epsilon is None else epsilon
     params = EstimatorParams(epsilon=eps, delta=delta, k=2 * t_prime, seed=seed)
     count = required_sample_count(n, eps, delta)
@@ -162,6 +172,11 @@ def distinguish(
     for _ in range(trials):
         truth = high if rng.random() < 0.5 else low
         circuit = truth.make_circuit(rng)
+        if circuit.n != n:
+            raise ValueError(
+                f"ensemble {truth.name!r} produced a {circuit.n}-qubit "
+                f"circuit, expected n = {n}"
+            )
         if circuit.t > truth.t_budget:
             raise ValueError(
                 f"ensemble {truth.name!r} produced {circuit.t} non-Clifford "

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .statevector import MAX_SAMPLE_COUNT
 from .symplectic import (
     Cut,
     Subspace,
@@ -38,15 +39,6 @@ __all__ = [
     "estimate_entropy",
     "required_sample_count",
 ]
-
-
-# The most Bell-difference samples one call may ask for. A sample is two
-# draws, each one int64 in the buffer the draws are counted into, shuffled
-# and paired in, plus one uint64 for the sample the pair XORs to: 24 bytes
-# per sample, beside row batches of a few MB at any count. A traced draw of
-# 2^22 samples peaked at 101 MB (n = 8) and one of 2^21 at 52 MB (n = 12),
-# so this bounds a draw near 0.40 GB; the default n = 12 run needs 480,697.
-MAX_SAMPLE_COUNT = 1 << 24
 
 
 def binary_entropy(p: float) -> float:

@@ -30,12 +30,21 @@ from .weyl import _check_cap, _rows_per_block, _wht_rows, expectation_rows
 
 __all__ = [
     "CharacteristicDistribution",
+    "MAX_SAMPLE_COUNT",
     "StateVector",
     "bell_difference_sample_bits",
     "characteristic_distribution",
     "entanglement_entropy_oracle",
     "simulate_circuit",
 ]
+
+# The most Bell-difference samples one call may ask for. A sample is two
+# draws, each one int64 in the buffer the draws are counted into, shuffled
+# and paired in, plus one uint64 for the sample the pair XORs to: 24 bytes
+# per sample, beside row batches of a few MB at any count. A traced draw of
+# 2^22 samples peaked at 101 MB (n = 8) and one of 2^21 at 52 MB (n = 12),
+# so this bounds a draw near 0.40 GB; the default n = 12 run needs 480,697.
+MAX_SAMPLE_COUNT = 1 << 24
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _T_PHASE = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
@@ -178,6 +187,8 @@ def bell_difference_sample_bits(
         raise ValueError(f"count must be an int, got {count!r}")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
+    if count > MAX_SAMPLE_COUNT:
+        raise ValueError(f"count {count} is more than the limit {MAX_SAMPLE_COUNT}")
     n = dist.n
     size = 1 << n
     block = _rows_per_block(n)

@@ -7,7 +7,7 @@ Everywhere else a set of vectors is a packed uint64 matrix of shape
 (rows, words), in which bit j of a row sits in bit j % 64 of word j // 64
 (the layout of Gidney's Stim, Quantum 2021). Ints are packed once on the
 way in (`Subspace.from_bit_rows`, `span`) and unpacked only on the way out
-(`Subspace.basis`, `contains`, `extract_symplectic_subspace`).
+(`Subspace.basis`, `extract_symplectic_subspace`).
 
 A `Subspace` holds its canonical RREF basis as such a matrix (pivot =
 lowest set bit, pivots strictly increasing), so two subspaces are equal iff
@@ -362,17 +362,6 @@ class Subspace:
     def basis(self) -> tuple[SympVec, ...]:
         """The RREF rows as SympVec, in pivot order."""
         return tuple(SympVec(self.n, r) for r in _unpack(self.rows))
-
-    def contains(self, v: SympVec) -> bool:
-        if v.n != self.n:
-            raise ValueError("qubit count mismatch")
-        bits = v.bits
-        for r in _unpack(self.rows):  # RREF: clear each pivot (lowest bit) in turn
-            if bits & r & -r:
-                bits ^= r
-        return bits == 0
-
-    __contains__ = contains
 
 
 def span(vectors: Iterable[SympVec], n: int | None = None) -> Subspace:

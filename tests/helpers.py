@@ -57,6 +57,18 @@ def dense_gf2_rank(rows: list[int], width: int) -> int:
     return len(dense_gf2_rref(rows, width))
 
 
+def contains(sub: Subspace, v: SympVec) -> bool:
+    """Whether v lies in sub: clear each pivot (lowest set bit) of sub's
+    canonical RREF basis from v in turn and see if anything is left."""
+    if v.n != sub.n:
+        raise ValueError("qubit count mismatch")
+    bits = v.bits
+    for row in sub.basis:
+        if bits & row.bits & -row.bits:
+            bits ^= row.bits
+    return bits == 0
+
+
 def all_vectors(n: int):
     for bits in range(1 << (2 * n)):
         yield SympVec(n, bits)
@@ -285,3 +297,14 @@ def convolve_q(p: np.ndarray) -> np.ndarray:
         for x in range(size):
             q[x] += p[a] * p[x ^ a]
     return q
+
+
+# ---------------------------------------------------------------------------
+# Circuit files
+
+
+def format_circuit(c: Circuit) -> str:
+    """The circuit file text of c: the `qubits N` header, one gate a line."""
+    lines = [f"qubits {c.n}"]
+    lines += [" ".join((g.name, *map(str, g.qubits))) for g in c.gates]
+    return "\n".join(lines) + "\n"

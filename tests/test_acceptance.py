@@ -223,9 +223,7 @@ def test_criterion_9_distinguisher():
     high = bell_pair_ensemble(6)          # entropy 3 at the half cut
     low = magic_product_ensemble(6, t=1)  # entropy 0, one T gate
     trials = 100
-    res = distinguish(
-        high, low, 1, Cut(6, {1, 2, 3}), 1 / 3, trials=trials, seed=109
-    )
+    res = distinguish(high, low, 1 / 3, trials=trials, seed=109)
     p = 2 / 3
     floor = p - 3 * math.sqrt(p * (1 - p) / trials)
     assert res.success_rate >= floor

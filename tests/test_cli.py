@@ -7,8 +7,9 @@ import time
 
 import pytest
 
+import helpers
 from stabent import TABLEAU_CAP, random_clifford_t_circuit, tableau
-from stabent.cli import CircuitParseError, format_circuit, main, parse_circuit
+from stabent.cli import CircuitParseError, main, parse_circuit
 
 import numpy as np
 
@@ -35,7 +36,7 @@ def test_parse_roundtrip():
     assert [(g.name, g.qubits) for g in circ.gates] == [
         ("H", (1,)), ("CNOT", (1, 2)), ("TDG", (3,)),
     ]
-    assert parse_circuit(format_circuit(circ)) == circ
+    assert parse_circuit(helpers.format_circuit(circ)) == circ
 
 
 def test_parse_roundtrip_random():
@@ -43,7 +44,7 @@ def test_parse_roundtrip_random():
     for _ in range(10):
         circ = random_clifford_t_circuit(int(rng.integers(1, 6)),
                                          int(rng.integers(0, 3)), rng)
-        assert parse_circuit(format_circuit(circ)) == circ
+        assert parse_circuit(helpers.format_circuit(circ)) == circ
 
 
 @pytest.mark.parametrize(
@@ -373,3 +374,9 @@ def test_distinguish_command(capsys):
     assert rec["trials"] == 10
     assert rec["success_rate"] == 1.0
     assert rec["f_level"] == 2.0 and rec["g_level"] == 0.0
+
+
+def test_negative_t_prime_exit_2(capsys):
+    code, out, err = _run(capsys, "distinguish", "--n", "6", "--t-prime", "-1")
+    assert code == 2 and out == ""
+    assert "t must be nonnegative, got -1" in err

@@ -35,43 +35,55 @@ def test_ensemble_levels_match_oracle():
 
 
 def test_gap_condition_errors():
-    cut = Cut(6, {1, 2, 3})
     high = bell_pair_ensemble(6)
-    low = magic_product_ensemble(6, t=1)
-    same = EnsembleSpec("same-level", 0, 3.0, high.make_circuit)
-    with pytest.raises(ValueError):
-        distinguish(high, same, 0, cut, 1 / 3)  # f == g
-    with pytest.raises(ValueError):
-        distinguish(high, low, 2, cut, 1 / 3)  # gap 3 not > 2 t' = 4
-    with pytest.raises(ValueError):
-        distinguish(high, low, 0, cut, 1 / 3)  # low budget 1 exceeds t' = 0
+    same = EnsembleSpec("same-level", 6, 0, 3.0, high.make_circuit)
+    with pytest.raises(ValueError, match="larger entropy level"):
+        distinguish(high, same, 1 / 3)  # f == g
+    with pytest.raises(ValueError, match=r"gap 3\.0 does not exceed 2\*t' = 4"):
+        distinguish(high, magic_product_ensemble(6, t=2), 1 / 3)
 
 
-def test_cut_must_be_half():
-    high = bell_pair_ensemble(6)
-    low = magic_product_ensemble(6, t=1)
-    with pytest.raises(ValueError):
-        distinguish(high, low, 1, Cut(6, {1}), 1 / 3)
+def test_pair_with_mismatched_n_is_refused():
+    low = magic_product_ensemble(4, t=0)
+    with pytest.raises(
+        ValueError, match="'bell-pairs' has 6 qubits, 'magic-product' has 4"
+    ):
+        distinguish(bell_pair_ensemble(6), low, 1 / 3)
+
+
+def test_odd_n_is_refused():
+    make = bell_pair_ensemble(4).make_circuit
+    high = EnsembleSpec("odd-high", 5, 0, 2.0, make)
+    low = EnsembleSpec("odd-low", 5, 0, 0.0, make)
+    with pytest.raises(ValueError, match="even n >= 2, got 5"):
+        distinguish(high, low, 1 / 3)
+
+
+def test_circuit_with_wrong_n_is_refused():
+    # the spec declares n = 6 but builds 4-qubit circuits
+    make = magic_product_ensemble(4, t=0).make_circuit
+    wrong = EnsembleSpec("wrong-n", 6, 0, 0.0, make)
+    with pytest.raises(
+        ValueError, match="'wrong-n' produced a 4-qubit circuit, expected n = 6"
+    ):
+        distinguish(bell_pair_ensemble(6), wrong, 1 / 3, trials=10, seed=3)
 
 
 def test_budget_enforced_per_circuit():
     bad = EnsembleSpec(
-        "cheater", 0, 0.0, magic_product_ensemble(4, t=1).make_circuit
+        "cheater", 4, 0, 0.0, magic_product_ensemble(4, t=1).make_circuit
     )
     with pytest.raises(ValueError, match="budget"):
-        distinguish(
-            bell_pair_ensemble(4), bad, 0, Cut(4, {1, 2}), 1 / 3,
-            trials=10, seed=3,
-        )
+        distinguish(bell_pair_ensemble(4), bad, 1 / 3, trials=10, seed=3)
 
 
 def test_clifford_ensembles_distinguished_perfectly():
     # t' = 0: the bounds are exact, so every trial is decided correctly
     high = bell_pair_ensemble(6)
     low = EnsembleSpec(
-        "stabilizer-product", 0, 0.0, magic_product_ensemble(6, t=0).make_circuit
+        "stabilizer-product", 6, 0, 0.0, magic_product_ensemble(6, t=0).make_circuit
     )
-    res = distinguish(high, low, 0, Cut(6, {1, 2, 3}), 1 / 3, trials=50, seed=51)
+    res = distinguish(high, low, 1 / 3, trials=50, seed=51)
     assert res.trials == 50
     assert res.success_rate == 1.0
     assert res.guess in ("bell-pairs", "stabilizer-product")
@@ -80,7 +92,7 @@ def test_clifford_ensembles_distinguished_perfectly():
 def test_one_t_gate_ensembles():
     high = bell_pair_ensemble(6)
     low = magic_product_ensemble(6, t=1)
-    res = distinguish(high, low, 1, Cut(6, {1, 2, 3}), 1 / 3, trials=30, seed=52)
+    res = distinguish(high, low, 1 / 3, trials=30, seed=52)
     assert res.success_rate >= 2 / 3
     assert res.bounds.upper - res.bounds.lower <= 2 + 1e-9
 
@@ -88,13 +100,10 @@ def test_one_t_gate_ensembles():
 def test_result_serialization():
     # n = 4 would give gap 2, which does not exceed 2 t' = 2 for t' = 1
     with pytest.raises(ValueError, match="gap"):
-        distinguish(
-            bell_pair_ensemble(4), magic_product_ensemble(4, t=1), 1,
-            Cut(4, {1, 2}), 1 / 3,
-        )
+        distinguish(bell_pair_ensemble(4), magic_product_ensemble(4, t=1), 1 / 3)
     high = bell_pair_ensemble(6)
     low = magic_product_ensemble(6, t=1)
-    res = distinguish(high, low, 1, Cut(6, {1, 2, 3}), 1 / 3, trials=5, seed=53)
+    res = distinguish(high, low, 1 / 3, trials=5, seed=53)
     d = res.to_dict()
     assert d["trials"] == 5
     assert 0.0 <= d["success_rate"] <= 1.0
@@ -116,7 +125,7 @@ def test_interval_with_both_levels_is_internal_fault(monkeypatch, capsys):
     high = bell_pair_ensemble(6)
     low = magic_product_ensemble(6, t=1)
     with pytest.raises(RuntimeError, match="both"):
-        distinguish(high, low, 1, Cut(6, {1, 2, 3}), 1 / 3, seed=54)
+        distinguish(high, low, 1 / 3, seed=54)
     code = main(["distinguish", "--n", "6", "--trials", "1", "--seed", "54"])
     assert code == 5
     assert "internal error" in capsys.readouterr().err

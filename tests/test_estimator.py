@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import helpers
 from stabent import (
     Circuit,
     Cut,
@@ -150,7 +151,7 @@ def test_bounds_monotone_in_group():
         prev = _group_bounds(sub, cut)
         while True:
             comp = symplectic_complement(sub)
-            candidates = [v for v in comp.basis if v not in sub]
+            candidates = [v for v in comp.basis if not helpers.contains(sub, v)]
             if not candidates:
                 break
             pick = candidates[int(rng.integers(len(candidates)))]

@@ -4,6 +4,7 @@ and the entanglement entropy oracle."""
 from __future__ import annotations
 
 import contextlib
+import time
 import tracemalloc
 
 import numpy as np
@@ -33,7 +34,7 @@ from stabent import (
     weyl_expectation,
     weyl_group_oracle,
 )
-from stabent import statevector, weyl
+from stabent import estimator, statevector, weyl
 
 _SQRT1_2 = 1 / np.sqrt(2)
 
@@ -284,6 +285,17 @@ def test_bell_sample_count_must_be_a_nonnegative_int():
     for ok in (0, np.int64(3)):
         bits = bell_difference_sample_bits(dist, rng, ok)
         assert bits.dtype == np.uint64 and bits.shape == (int(ok),)
+
+
+def test_bell_sample_count_above_the_limit_is_refused_before_drawing():
+    # 2 * count int64 draws would take 0.4 GB; the refusal comes first
+    dist = characteristic_distribution(simulate_circuit(Circuit.from_ops(1)))
+    limit = statevector.MAX_SAMPLE_COUNT
+    assert estimator.MAX_SAMPLE_COUNT == limit
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=f"more than the limit {limit}"):
+        bell_difference_sample_bits(dist, np.random.default_rng(0), limit + 1)
+    assert time.monotonic() - start < 1.0
 
 
 class _RecordingGenerator:
