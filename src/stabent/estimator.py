@@ -5,7 +5,10 @@ The bound pair for an isotropic group S and cut (A, B) is
     upper = min(|A| - dim S_A, |B| - dim S_B)
     lower = max(dim S - dim S_B - |A|, dim S - dim S_A - |B|, 0)
 
-which collapses to the exact entropy when dim S = n. The sampled pipeline
+which collapses to the exact entropy when dim S = n. An isotropic S of
+dimension n is Lagrangian, and then |A| - dim S_A = |B| - dim S_B (Fattal
+et al. 2004), so a known group of that dimension is restricted to the
+smaller side only; any other S needs both restrictions. The sampled pipeline
 takes Bell-difference samples, forms the symplectic complement of their
 span, and widens the bounds by the trace-distance slack r = eps*n + H(eps)
 whenever the recovered group could be approximate (dim S above the promised
@@ -165,7 +168,12 @@ def estimate_entropy(
     count must meet required_sample_count for the stated guarantee.
 
     Group path (tableau or oracle provenance): sampling is bypassed, r = 0,
-    and the bounds are exact consequences of the supplied group.
+    and the bounds are exact consequences of the supplied group. The group
+    is isotropic (StabilizerGroupEstimate checks it), so at dim S = n the
+    smaller side's restriction gives the other side's dimension through
+    |A| - dim S_A = |B| - dim S_B, and only that side is restricted. A
+    sampled S need not be isotropic, and a smaller group need not satisfy
+    the identity, so both of those restrict both sides.
     """
     if (samples is None) == (group is None):
         raise ValueError("pass exactly one of samples= or group=")
@@ -202,9 +210,16 @@ def estimate_entropy(
             else params.epsilon * n + binary_entropy(params.epsilon)
         )
 
-    dim_a = restrict_to_cut(sub, cut.a).rank
-    dim_b = restrict_to_cut(sub, cut.b).rank
     na, nb, d = len(cut.a), n - len(cut.a), sub.rank
+    if group is not None and d == n:
+        # a Lagrangian group: |A| - dim S_A = |B| - dim S_B, so the smaller
+        # side's restriction gives both
+        side, size = (cut.a, na) if na <= nb else (cut.b, nb)
+        entropy = size - restrict_to_cut(sub, side).rank
+        dim_a, dim_b = na - entropy, nb - entropy
+    else:
+        dim_a = restrict_to_cut(sub, cut.a).rank
+        dim_b = restrict_to_cut(sub, cut.b).rank
     # r widens both counting bounds; entropy lives in [0, min(|A|, |B|)]
     upper = min(min(na - dim_a, nb - dim_b) + r, float(min(na, nb)))
     lower = max(d - dim_b - na - r, d - dim_a - nb - r, 0.0)

@@ -24,7 +24,9 @@ on every allowed column:
 - all columns allowed: the pivot rows are the canonical RREF (`span`);
 - the columns outside a cut, eliminating forward only (earlier pivot rows
   are not cleared again): the rows left span the members supported on
-  the cut (`restrict_to_cut`).
+  the cut (`restrict_to_cut`). Its input is a canonical basis, whose
+  pivot bits are each set in one row alone, so a row pivoted outside the
+  cut is in no member on the cut and is dropped before this pass.
 
 The symplectic complement needs no elimination of its own: each free
 column of a canonical basis names one kernel vector, read off the RREF,
@@ -400,19 +402,23 @@ def symplectic_complement(t: Subspace) -> Subspace:
 def restrict_to_cut(s: Subspace, side: Iterable[int]) -> Subspace:
     """Members of s supported only on the given qubits.
 
-    One forward elimination over a copy of the basis rows, pivoting only
-    on coordinates outside `side`: the rows left without a pivot are zero
-    there, and they are a basis of the restriction. The pivot rows are
-    dropped, so they are never cleared.
+    The basis is a canonical RREF, so each pivot bit is set in its own row
+    alone, and any sum that takes a row carries that row's pivot bit. A row
+    whose pivot lies outside `side` is therefore in no member supported on
+    it, and is dropped first. One forward elimination over the rows left,
+    pivoting only on coordinates outside `side`, then leaves the rows
+    without a pivot zero there, and they are a basis of the restriction.
+    The pivot rows are dropped, so they are never cleared.
     """
     n = s.n
     qubits = set(side)
     if not qubits <= set(range(1, n + 1)):
         raise ValueError(f"side must be a subset of 1..{n}")
-    keep = 0
-    for q in qubits:
-        keep |= (1 << (n - q)) | (1 << (2 * n - q))
-    mat = s.rows.copy()
+    q = np.fromiter(qubits, dtype=np.intp, count=len(qubits))
+    on_side = np.zeros(2 * n, dtype=bool)
+    on_side[n - q] = on_side[2 * n - q] = True
+    keep = int.from_bytes(np.packbits(on_side, bitorder="little").tobytes(), "little")
+    mat = s.rows[on_side[_pivots(s.rows)]]
     pivots = _eliminate(mat, ((1 << (2 * n)) - 1) & ~keep, forward=True)
     # the rows left are zero outside `keep`, so their RREF pivots lie in it
     inside = np.delete(mat, pivots, axis=0)

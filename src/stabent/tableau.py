@@ -30,11 +30,10 @@ __all__ = [
 ]
 
 # Most qubits simulate_clifford takes. A half-cut `estimate` of a random
-# Clifford circuit with 10n gates took 22 s and 118 MB at n = 8000, and
-# about 106 s and 479 MB peak RSS (circuit generation included) at this
-# cap, on one core of a 2-vCPU host. Its eliminations grow as n^3 and its
-# matrices as n^2, so a file such as `qubits 100000` would otherwise run
-# for hours.
+# Clifford circuit with 10n gates, read from a file, took 6.2 s and 148 MB
+# peak RSS at n = 8000, and 62 s and 470 MB at this cap, on one core of a
+# 2-vCPU host. Its eliminations grow as n^3 and its matrices as n^2, so a
+# file such as `qubits 100000` would otherwise run for hours.
 TABLEAU_CAP = 16384
 
 

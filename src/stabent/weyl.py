@@ -18,6 +18,7 @@ BLAS matrix products.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,17 @@ def _hadamard(k: int) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1)
 
 
+@functools.cache
+def _wht_factors(n: int, pairs: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only H_(2^lo) and H_(2^hi) for a length-2^n transform, the
+    second as H_(2^hi) (x) I_2 for complex rows; built once per n."""
+    h_lo, h_hi = _hadamard(n // 2), _hadamard(n - n // 2)
+    if pairs:
+        h_hi = np.kron(h_hi, np.eye(2))
+    h_lo.flags.writeable = h_hi.flags.writeable = False
+    return h_lo, h_hi
+
+
 def _wht_rows(mat: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform of each row of an (m, 2^n) array.
 
@@ -135,11 +147,10 @@ def _wht_rows(mat: np.ndarray) -> np.ndarray:
     """
     m, size = mat.shape
     n = size.bit_length() - 1
-    h_lo, h_hi = _hadamard(n // 2), _hadamard(n - n // 2)
     pairs = np.iscomplexobj(mat)
+    h_lo, h_hi = _wht_factors(n, pairs)
     if pairs:
         mat = np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64)
-        h_hi = np.kron(h_hi, np.eye(2))
     half = mat.reshape(m * len(h_lo), -1) @ h_hi
     out = (h_lo @ half.reshape(m, len(h_lo), -1)).reshape(m, -1)
     return out.view(np.complex128) if pairs else out

@@ -18,6 +18,7 @@ from stabent import (
     StateVector,
     Subspace,
     SympVec,
+    from_pauli_string,
     span,
     symplectic_product,
 )
@@ -103,6 +104,16 @@ def brute_restrict(sub: Subspace, side: set[int]) -> Subspace:
         if support(v) <= side:
             hits.append(v)
     return span(hits, n=sub.n)
+
+
+def dense_restricted_dim(sub: Subspace, side) -> int:
+    """dim S_side as dim S minus the dense rank of S's basis rows with the
+    side's coordinates zeroed (Fattal et al. 2004)."""
+    n = sub.n
+    off_side = 0
+    for q in set(range(1, n + 1)) - set(side):
+        off_side |= from_pauli_string("I" * (q - 1) + "Y" + "I" * (n - q)).bits
+    return sub.rank - dense_gf2_rank([v.bits & off_side for v in sub.basis], 2 * n)
 
 
 def tableau_rows(tab) -> list[SympVec]:

@@ -32,6 +32,7 @@ from stabent import (
     span,
     symplectic_complement,
     weyl_group_from_tableau,
+    weyl_group_oracle,
 )
 from stabent import estimator
 
@@ -124,8 +125,6 @@ def test_bounds_contain_oracle_entropy():
         n = int(rng.integers(2, 6))
         circ = random_clifford_t_circuit(n, int(rng.integers(0, 3)), rng)
         psi = simulate_circuit(circ)
-        from stabent import weyl_group_oracle
-
         group = weyl_group_oracle(psi)
         a = frozenset(
             int(q) + 1
@@ -202,6 +201,69 @@ def test_estimate_group_path_large_n_integral():
     report = estimate_entropy(group=group, cut=Cut(50, frozenset(range(1, 26))))
     assert report.lower == report.upper
     assert float(report.upper).is_integer()
+
+
+def _random_cut(n: int, kind: str, rng: np.random.Generator) -> Cut:
+    """A empty, A full, A = 1..m for m in 1..10, or a random subset."""
+    if kind == "empty":
+        return Cut(n, frozenset())
+    if kind == "full":
+        return Cut(n, frozenset(range(1, n + 1)))
+    if kind == "prefix":
+        return Cut(n, frozenset(range(1, min(n, int(rng.integers(1, 11))) + 1)))
+    return Cut(n, frozenset(int(q) + 1 for q in np.flatnonzero(rng.random(n) < 0.5)))
+
+
+_CUT_KINDS = ["empty", "full", "prefix", "scattered"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    kind=st.sampled_from(_CUT_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lagrangian_group_entropy_from_either_side(n, kind, seed):
+    # the group path restricts one side of a dim-n group; both sides' dense
+    # ranks must give the same entropy
+    rng = np.random.default_rng(seed)
+    circ = random_clifford_circuit(n, rng)
+    group = simulate_clifford(circ).group
+    cut = _random_cut(n, kind, rng)
+    report = estimate_entropy(group=group, cut=cut)
+    na, nb = len(cut.a), n - len(cut.a)
+    from_a = na - helpers.dense_restricted_dim(group.subspace, cut.a)
+    from_b = nb - helpers.dense_restricted_dim(group.subspace, cut.b)
+    assert report.lower == report.upper == from_a == from_b
+    assert report.dim_s == n
+    if n <= 10:
+        oracle = entanglement_entropy_oracle(simulate_circuit(circ), cut)
+        assert report.upper == pytest.approx(oracle, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    t=st.integers(1, 3),
+    kind=st.sampled_from(_CUT_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_group_below_n_bounds_from_both_sides(n, t, kind, seed):
+    # the Weyl group of a Clifford+T state may have dim < n; then both
+    # restrictions are needed, and the bounds are the counting bounds of
+    # the two dense ranks
+    rng = np.random.default_rng(seed)
+    psi = simulate_circuit(random_clifford_t_circuit(n, t, rng))
+    group = weyl_group_oracle(psi)
+    cut = _random_cut(n, kind, rng)
+    report = estimate_entropy(group=group, cut=cut)
+    na, nb, d = len(cut.a), n - len(cut.a), group.dim
+    dim_a = helpers.dense_restricted_dim(group.subspace, cut.a)
+    dim_b = helpers.dense_restricted_dim(group.subspace, cut.b)
+    assert report.upper == min(na - dim_a, nb - dim_b)
+    assert report.lower == max(d - dim_b - na, d - dim_a - nb, 0)
+    oracle = entanglement_entropy_oracle(psi, cut)
+    assert report.lower - 1e-9 <= oracle <= report.upper + 1e-9
 
 
 def test_samples_reused_across_cuts():

@@ -21,7 +21,9 @@ from stabent import (
     extract_symplectic_subspace,
     from_pauli_string,
     is_isotropic,
+    random_clifford_circuit,
     restrict_to_cut,
+    simulate_clifford,
     span,
     symplectic_complement,
     symplectic_product,
@@ -248,6 +250,13 @@ def test_kernels_leave_their_inputs_unchanged():
     estimate_entropy(group=StabilizerGroupEstimate(sub, "tableau"), cut=cut)
     assert sub.rows.tobytes() == rows
     assert sub == Subspace.from_bit_rows(n, es[:50])
+    # a Lagrangian group under an unbalanced cut, which restricts one side
+    tab = simulate_clifford(random_clifford_circuit(n, rng))
+    group_rows, tab_rows = tab.group.subspace.rows.tobytes(), tab.rows.tobytes()
+    report = estimate_entropy(group=tab.group, cut=Cut(n, frozenset(range(60, 71))))
+    assert tab.group.subspace.rows.tobytes() == group_rows
+    assert tab.rows.tobytes() == tab_rows
+    assert report.dim_s == n
 
 
 def test_span_canonical_equality():
@@ -319,18 +328,39 @@ def test_restrict_matches_bruteforce():
                 assert helpers.support(v) <= side
 
 
+_ALL_QUBITS = 2**70 - 1
+_ODD_QUBITS = int("01" * 35, 2)  # bit q - 1 for q = 1, 3, 5, ...
+
+
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 70), side_bits=st.integers(0, 2**70 - 1), seed=st.integers(0, 2**32 - 1))
-def test_restrict_rank_matches_dense_rank(n, side_bits, seed):
-    # dim S_side = dim S - rank of S's rows with the side's coordinates zeroed
-    sub = helpers.random_subspace(n, np.random.default_rng(seed))
+@given(
+    n=st.integers(1, 70),
+    side_bits=st.integers(0, _ALL_QUBITS),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "clifford"]),
+)
+# 2n crosses a word: 64, 66, 128 and 130 bits
+@example(n=32, side_bits=0, seed=1, kind="clifford")
+@example(n=32, side_bits=_ODD_QUBITS, seed=2, kind="random")
+@example(n=33, side_bits=_ALL_QUBITS, seed=3, kind="clifford")
+@example(n=33, side_bits=1 << 32, seed=4, kind="clifford")  # qubit 33 alone
+@example(n=64, side_bits=_ODD_QUBITS, seed=5, kind="clifford")
+@example(n=64, side_bits=1, seed=6, kind="random")  # qubit 1 alone
+@example(n=65, side_bits=1 << 31, seed=7, kind="clifford")  # qubit 32 alone
+@example(n=65, side_bits=_ODD_QUBITS, seed=8, kind="clifford")
+def test_restrict_rank_matches_dense_rank(n, side_bits, seed, kind):
+    # dim S_side = dim S - rank of S's rows with the side's coordinates zeroed.
+    # A Clifford circuit's group is Lagrangian, with pivots on both sides of
+    # most cuts, so restrict_to_cut drops some rows before its elimination.
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        sub = helpers.random_subspace(n, rng)
+    else:
+        sub = simulate_clifford(random_clifford_circuit(n, rng)).group.subspace
+        assert sub.rank == n
     side = {q for q in range(1, n + 1) if (side_bits >> (q - 1)) & 1}
-    forbidden = 0
-    for q in set(range(1, n + 1)) - side:
-        forbidden |= from_pauli_string("I" * (q - 1) + "Y" + "I" * (n - q)).bits
     got = restrict_to_cut(sub, side)
-    cut_rows = [v.bits & forbidden for v in sub.basis]
-    assert got.rank == sub.rank - helpers.dense_gf2_rank(cut_rows, 2 * n)
+    assert got.rank == helpers.dense_restricted_dim(sub, side)
     for v in got.basis:
         assert helpers.contains(sub, v)
         assert helpers.support(v) <= side
