@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,9 +13,11 @@ GATE_ARITY = {
 }
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One gate: a name and its 1-based qubits. `Circuit` checks both."""
+class Gate(NamedTuple):
+    """One gate: a name and its 1-based qubits. `Circuit` checks both.
+
+    A tuple, so it also equals the plain tuple (name, qubits).
+    """
 
     name: str
     qubits: tuple[int, ...]
@@ -37,8 +40,7 @@ class Circuit:
         if n < 1:
             raise ValueError("qubit count must be positive")
         t = 0
-        for g in self.gates:
-            name, qubits = g.name, g.qubits
+        for name, qubits in self.gates:
             arity = GATE_ARITY.get(name)
             if arity is None:
                 raise ValueError(f"unknown gate {name!r}")

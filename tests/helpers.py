@@ -70,6 +70,17 @@ def contains(sub: Subspace, v: SympVec) -> bool:
     return bits == 0
 
 
+def pairwise_isotropic(sub: Subspace) -> bool:
+    """Whether every pair of basis rows commutes, by one symplectic product
+    per pair of SympVec rows."""
+    basis = sub.basis
+    return all(
+        symplectic_product(u, w) == 0
+        for i, u in enumerate(basis)
+        for w in basis[i + 1 :]
+    )
+
+
 def all_vectors(n: int):
     for bits in range(1 << (2 * n)):
         yield SympVec(n, bits)

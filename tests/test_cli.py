@@ -37,6 +37,16 @@ def test_parse_roundtrip():
         ("H", (1,)), ("CNOT", (1, 2)), ("TDG", (3,)),
     ]
     assert parse_circuit(helpers.format_circuit(circ)) == circ
+    # comment-only lines, trailing and tight comments, tabs, CRLF endings
+    # and a signed index parse to the same circuit
+    for variant in (
+        "# leading comment\nqubits 3\n  # indented comment\nH 1 # trailing\n"
+        "CNOT 1 2#tight\nTDG 3\n",
+        "qubits\t3\t# header\nh\t1\n\tcnot\t1 \t2\ntdg 3\n",
+        "qubits 3\r\n# comment\r\n\r\nH 1\r\nCNOT 1 2\r\nTDG 3\r\n",
+        "qubits +3\nH +1\nCNOT +1 2\nTDG +3\n",
+    ):
+        assert parse_circuit(variant) == circ
 
 
 def test_parse_roundtrip_random():
@@ -58,6 +68,12 @@ def test_parse_roundtrip_random():
         "qubits 3\nH 1 2\n",          # wrong arity
         "qubits 3\nCNOT 2 2\n",       # repeated qubit
         "qubits 3\nH x\n",            # bad index token
+        "# note\n\n  # note\nqubits 3\n# note\nH 4\n",  # comment-only lines
+        "qubits 3 # header\nH 1 # ok\nCNOT 1 5 # bad\n",  # trailing comments
+        "qubits\t3\nH\t1\nCNOT\t2\t2\n",  # tabs
+        "qubits 3\r\nH 1\r\nH 1 2\r\n",  # CRLF line endings
+        "qubits 3\nCNOT +1 +1\n",    # signed index
+        "qubits 3\nH #1\n",          # the index commented out
     ],
 )
 def test_parse_errors(text):
@@ -74,6 +90,11 @@ def test_parse_errors(text):
          r"^line 6: H qubit 4 outside 1\.\.3$"),
         # a bad gate before a bad token is still the first error
         ("qubits 3\nH 1\nFOO 2\nH x\n", r"^line 3: unknown gate 'FOO'$"),
+        ("# c\r\nqubits 3\r\n\tH 1 # c\r\n\r\nCNOT\t+1 1\r\n",
+         r"^line 5: CNOT qubits must be distinct: \(1, 1\)$"),
+        ("qubits 3\nH\t1#c\nH +x\n", r"^line 3: bad qubit index$"),
+        ("qubits 3\nH #1\n", r"^line 2: H takes 1 qubit\(s\), got \(\)$"),
+        ("# only comments\n\t\n", r"^missing 'qubits N' header$"),
     ],
 )
 def test_parse_error_names_the_first_bad_line(text, message):

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -29,6 +28,10 @@ from stabent import (
     symplectic_product,
     to_pauli_string,
 )
+
+
+_ALL_QUBITS = 2**70 - 1
+_ODD_QUBITS = int("01" * 35, 2)  # bit q - 1 for q = 1, 3, 5, ...
 
 
 def test_product_examples():
@@ -230,6 +233,62 @@ def test_from_bit_rows_rejects_a_bit_just_past_2n(n):
         Subspace.from_bit_rows(0, [])
 
 
+@pytest.mark.parametrize(
+    "n, rows",
+    [
+        (2, [0b0011, 0b0010]),  # row 1 holds row 2's pivot bit
+        (2, [0b0101, 0b0110, 0b1100]),  # row 2 holds row 3's pivot bit
+        (33, [1 | 1 << 65, 1 << 65]),  # across a word: pivot 65 set in row 1
+        (33, [1 << 3 | 1 << 64, 1 << 40, 1 << 64 | 1 << 65]),  # pivot 64 in word 1
+    ],
+    ids=["one-word", "middle-row", "word-boundary", "second-word"],
+)
+def test_subspace_rejects_a_basis_that_is_not_reduced(n, rows):
+    # the rows are in echelon order (pivots ascending, each row's lowest set
+    # bit), but a pivot bit is also set in an earlier row
+    words = (2 * n + 63) // 64
+    packed = symplectic._pack(rows, words)
+    assert (np.diff(symplectic._pivots(packed)) > 0).all()
+    with pytest.raises(ValueError, match="not reduced"):
+        Subspace(n, packed)
+    assert Subspace(n, Subspace.from_bit_rows(n, rows).rows.copy()).rank == len(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 70),
+    side_bits=st.integers(0, _ALL_QUBITS),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "clifford"]),
+)
+@example(n=32, side_bits=_ODD_QUBITS, seed=1, kind="clifford")
+@example(n=33, side_bits=1 << 32, seed=2, kind="random")
+@example(n=64, side_bits=1, seed=3, kind="clifford")
+@example(n=65, side_bits=_ALL_QUBITS, seed=4, kind="random")
+def test_kernel_outputs_pass_construction(n, side_bits, seed, kind):
+    # every Subspace the kernels return is a canonical RREF: rebuilt from a
+    # copy of its rows it passes the reducedness check, and its rows are
+    # the dense elimination's
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        sub = helpers.random_subspace(n, rng)
+    else:
+        sub = simulate_clifford(random_clifford_circuit(n, rng)).group.subspace
+    side = {q for q in range(1, n + 1) if (side_bits >> (q - 1)) & 1}
+    outputs = [
+        sub,
+        span(sub.basis, n=n),
+        symplectic_complement(sub),
+        restrict_to_cut(sub, side),
+        Subspace.full(n),
+        Subspace.zero(n),
+    ]
+    for out in outputs:
+        assert Subspace(n, out.rows.copy()) == out
+        rows = [v.bits for v in out.basis]
+        assert rows == helpers.dense_gf2_rref(rows, 2 * n)
+
+
 def test_kernels_leave_their_inputs_unchanged():
     n = 70
     rng = np.random.default_rng(30)
@@ -328,10 +387,6 @@ def test_restrict_matches_bruteforce():
                 assert helpers.support(v) <= side
 
 
-_ALL_QUBITS = 2**70 - 1
-_ODD_QUBITS = int("01" * 35, 2)  # bit q - 1 for q = 1, 3, 5, ...
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(1, 70),
@@ -377,31 +432,86 @@ def test_isotropic_examples():
     assert is_isotropic(Subspace.zero(4))
 
 
-@settings(max_examples=200, deadline=None)
+def _free_x_columns(sub: Subspace) -> int:
+    """X columns that are no basis row's pivot: n minus the rows whose
+    lowest set bit lies in the X half."""
+    return sub.n - sum(v.bits & -v.bits < 1 << sub.n for v in sub.basis)
+
+
+_ISOTROPY_KINDS = ["random", "isotropic", "one-pair", "lagrangian", "fault", "z-only", "over-n"]
+
+
+@settings(max_examples=250, deadline=None)
 @given(
     n=st.integers(1, 70),
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["random", "isotropic", "one-pair"]),
-    block_bytes=st.sampled_from([None, 1, 1 << 10]),
+    kind=st.sampled_from(_ISOTROPY_KINDS),
 )
-@example(n=70, seed=1, kind="isotropic", block_bytes=None)  # two words per half
-@example(n=65, seed=2, kind="one-pair", block_bytes=1)
-def test_isotropic_matches_pairwise_products(n, seed, kind, block_bytes):
+@example(n=70, seed=1, kind="isotropic")  # two words per half
+@example(n=65, seed=2, kind="one-pair")
+# 2n crosses a word: 64, 66, 128 and 130 bits
+@example(n=32, seed=3, kind="lagrangian")
+@example(n=33, seed=4, kind="fault")
+@example(n=33, seed=5, kind="lagrangian")
+@example(n=64, seed=6, kind="z-only")
+@example(n=64, seed=7, kind="fault")
+@example(n=65, seed=8, kind="over-n")
+@example(n=65, seed=9, kind="lagrangian")
+def test_isotropic_matches_pairwise_products(n, seed, kind):
+    # is_isotropic reads M = X . Z^T off the RREF: a gather at the pivot
+    # columns plus a product over the free X columns. The Lagrangian groups
+    # of Clifford circuits have both, and a one-bit fault breaks them.
     rng = np.random.default_rng(seed)
     if kind == "random":
         rows = [helpers.rand_bits(rng, 2 * n) for _ in range(int(rng.integers(0, 2 * n + 1)))]
+    elif kind in ("lagrangian", "fault"):
+        tab = simulate_clifford(random_clifford_circuit(n, rng))
+        rows = [v.bits for v in helpers.tableau_rows(tab)]
+        if kind == "fault":
+            rows[int(rng.integers(n))] ^= 1 << int(rng.integers(2 * n))
+    elif kind == "z-only":
+        rows = [helpers.rand_bits(rng, n) << n for _ in range(int(rng.integers(0, n + 1)))]
     else:
         # the e_i commute pairwise; f_j anticommutes with e_j alone
         es, fs = helpers.random_symplectic_basis(n, n, rng)
-        rows = [e for e in es if rng.random() < 0.7]
+        if kind == "over-n":
+            rows = es + fs[: int(rng.integers(1, n + 1))]
+        else:
+            rows = [e for e in es if rng.random() < 0.7]
         if kind == "one-pair":
             rows.append(fs[int(rng.integers(n))])
     sub = Subspace.from_bit_rows(n, rows)
-    want = all(symplectic_product(u, w) == 0 for u, w in itertools.combinations(sub.basis, 2))
-    with pytest.MonkeyPatch.context() as mp:
-        if block_bytes is not None:
-            mp.setattr(symplectic, "_ISOTROPY_BLOCK_BYTES", block_bytes)
-        assert is_isotropic(sub) == want
+    if kind == "lagrangian":
+        assert sub.rank == n
+        assume(_free_x_columns(sub) > 0)
+    elif kind == "z-only":
+        assert _free_x_columns(sub) == n
+    elif kind == "over-n":
+        assert sub.rank > n
+    assert is_isotropic(sub) == helpers.pairwise_isotropic(sub)
+
+
+def test_isotropic_examples_cover_the_free_column_product():
+    # the @example groups above are Lagrangian with free X columns
+    for n, seed in ((32, 3), (33, 5), (65, 9)):
+        rng = np.random.default_rng(seed)
+        sub = simulate_clifford(random_clifford_circuit(n, rng)).group.subspace
+        assert _free_x_columns(sub) > 0
+
+
+def test_isotropic_refuses_rank_above_n_at_once(monkeypatch):
+    # an isotropic subspace has rank at most n: no transpose, no product
+    subs = [Subspace.full(3), span([from_pauli_string("XX"), from_pauli_string("ZZ"),
+                                    from_pauli_string("ZI")])]
+
+    def fail(*args):
+        raise AssertionError("is_isotropic did work on a rank above n")
+
+    monkeypatch.setattr(symplectic, "_transpose", fail)
+    monkeypatch.setattr(symplectic, "_combine", fail)
+    for sub in subs:
+        assert sub.rank > sub.n
+        assert is_isotropic(sub) is False
 
 
 def test_extract_examples():

@@ -231,6 +231,23 @@ def test_conjugate_matches_dense_conjugation():
         assert abs(ratio[0, 0].imag) < 1e-10  # sign only, never +-i
 
 
+def test_gate_is_an_immutable_record():
+    gate = Gate("CNOT", (1, 2))
+    assert repr(gate) == "Gate(name='CNOT', qubits=(1, 2))"
+    with pytest.raises(AttributeError):
+        gate.name = "H"
+    with pytest.raises(AttributeError):
+        gate.extra = 1
+    twin = Gate("CNOT", (1, 2))
+    assert gate == twin and hash(gate) == hash(twin)
+    assert len({gate, twin}) == 1
+    assert gate != Gate("CNOT", (2, 1)) and gate != Gate("H", (1,))
+    # a Gate is the tuple (name, qubits)
+    assert gate == ("CNOT", (1, 2))
+    name, qubits = gate
+    assert (name, qubits) == (gate.name, gate.qubits)
+
+
 def test_gate_index_validation():
     with pytest.raises(ValueError):
         Circuit.from_ops(2, ("CNOT", 1, 5))
