@@ -12,10 +12,11 @@ refuses more than DEFAULT_DENSE_CAP qubits.
 `estimate --epsilon` defaults to default_epsilon(n) = 1/(8n) for n >= 2,
 and to 0.25 at n = 1, where default_epsilon is not defined.
 
-`estimate` checks its input in this order: the file and the cut (exit 2),
-the dense cap (exit 3), the run settings --epsilon, --delta and --k/--t in
-one EstimatorParams (exit 2), and only then simulates and estimates; the
-tableau cap (exit 3) is checked as the tableau simulation starts.
+`estimate` checks the file and the cut (exit 2), then the dense cap
+(exit 3), which is the 2^n simulation itself, then the run settings
+--epsilon, --delta and --k/--t in one EstimatorParams (exit 2). A Clifford
+file is simulated only after that, and the tableau cap (exit 3) is checked
+as its simulation starts.
 
 Exit codes: 0 ok, 2 parse/config error, 3 qubit cap exceeded (dense or
 tableau), 4 promise violation, 5 internal fault (a broken runtime

@@ -75,13 +75,15 @@ def required_sample_count(n: int, epsilon: float, delta: float) -> int:
     is drawn.
     """
     _validate_epsilon_delta(epsilon, delta)
-    count = math.ceil((2.0 * math.log(1.0 / delta) + 4.0 * n) / epsilon**2)
+    square = epsilon**2  # 0 for a tiny epsilon; the count may be inf, so ceil last
+    count = (2.0 * math.log(1.0 / delta) + 4.0 * n) / square if square else math.inf
     if count > MAX_SAMPLE_COUNT:
+        shown = math.ceil(count) if count < math.inf else count
         raise ValueError(
-            f"epsilon={epsilon}, delta={delta} at n={n} need {count} samples, "
+            f"epsilon={epsilon}, delta={delta} at n={n} need {shown} samples, "
             f"more than the limit {MAX_SAMPLE_COUNT}"
         )
-    return count
+    return math.ceil(count)
 
 
 @dataclass(frozen=True)

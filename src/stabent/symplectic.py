@@ -24,8 +24,7 @@ mask says where pivots may fall, and the rows left without a pivot are zero
 on every allowed column:
 
 - all columns allowed: the pivot rows are the canonical RREF (`span`);
-- the columns outside a cut, eliminating forward only (earlier pivot rows
-  are not cleared again): the rows left span the members supported on
+- the columns outside a cut: the rows left span the members supported on
   the cut (`restrict_to_cut`). Its input is a canonical basis, whose
   pivot bits are each set in one row alone, so a row pivoted outside the
   cut is in no member on the cut and is dropped before this pass.
@@ -63,8 +62,8 @@ __all__ = [
     "to_pauli_string",
 ]
 
-# Bytes of one gathered (block, words) uint64 temporary in _combine.
-_GATHER_BLOCK_BYTES = 1 << 16
+# Most bytes of one (block, words) uint64 temporary in a blocked pass.
+_GATHER_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +119,12 @@ def _words(width: int) -> int:
     return (width + 63) // 64
 
 
+def _block_rows(rows: int, words: int) -> int:
+    """Rows per block of a pass over a (rows, words) matrix: a quarter, at
+    most `_GATHER_BLOCK_BYTES`, so its temporaries stay small and in cache."""
+    return max(1, min(rows // 4, _GATHER_BLOCK_BYTES // (8 * words)))
+
+
 def _pack(rows: Iterable[int], words: int) -> np.ndarray:
     """Python-int rows as a writable (rows, words) uint64 matrix.
 
@@ -168,17 +173,15 @@ def _transpose(mat: np.ndarray) -> np.ndarray:
     return out.view("<u8").astype(np.uint64, copy=False)
 
 
-def _combine(
-    coeffs: np.ndarray, src: np.ndarray, out: np.ndarray, block_bytes: int = _GATHER_BLOCK_BYTES
-) -> None:
+def _combine(coeffs: np.ndarray, src: np.ndarray, out: np.ndarray) -> None:
     """out ^= coeffs . src over GF(2), by Four-Russians table lookups.
 
     Bit b of coeffs[g, i] selects src row 8g + b for out row i. Each group
     of 8 src rows becomes a table of its 256 XOR combinations, and each block
-    of out rows, about `block_bytes`, takes one gather and one XOR per table.
+    of out rows (`_block_rows`) takes one gather and one XOR per table.
     """
     rows, words = out.shape
-    step = max(1, block_bytes // (8 * max(words, 1)))
+    step = _block_rows(rows, words)
     table = np.zeros((256, words), dtype=np.uint64)
     gathered = np.empty((min(step, rows), words), dtype=np.uint64)
     for g in range(0, len(src), 8):
@@ -189,22 +192,16 @@ def _combine(
             block = out[start : start + step]
             buf = gathered[: len(block)]
             np.take(table, idx[start : start + step], axis=0, out=buf, mode="clip")
-            # XOR into buf first: in place on a strided `block`, numpy would
-            # copy it to a temporary
-            buf ^= block
-            block[...] = buf
+            block ^= buf
 
 
-def _eliminate(mat: np.ndarray, allowed: int, forward: bool = False) -> list[int]:
+def _eliminate(mat: np.ndarray, allowed: int) -> list[int]:
     """Gauss-Jordan elimination of a packed matrix in place, pivoting only on
     the columns set in `allowed`; returns the pivot rows by pivot column.
 
     Afterwards every row that is not a pivot row is zero on all allowed
     columns, and each pivot column is set in its pivot row alone. The row
     operations are invertible, so the rows span what they spanned before.
-    With `forward`, rows that became pivots in an earlier word are not
-    updated again: the rows left without a pivot come out bit for bit as
-    in a full pass, and the pivot rows are fit only to be dropped.
 
     Works one 64-column word at a time. The word's bit columns, as m-bit
     ints, are reduced against each other, each pivot picked among the rows
@@ -253,9 +250,6 @@ def _eliminate(mat: np.ndarray, allowed: int, forward: bool = False) -> list[int
             continue
         k = len(pcols)
         prows = [low.bit_length() - 1 for low in lows]
-        # With `forward`, the rows above the first free row are all earlier
-        # pivots and are skipped; later ones are updated, to no effect.
-        top = (free & -free).bit_length() - 1 if forward else 0
         free &= ~sum(lows)
         groups = (k + 7) // 8
         adds = b"".join((u & rowmask).to_bytes(step, "little") for u in cols)
@@ -267,9 +261,7 @@ def _eliminate(mat: np.ndarray, allowed: int, forward: bool = False) -> list[int
         inverse = (tags >> np.array(pcols, dtype=np.uint64)[:, None]) & np.uint64(1)
         inverse[np.arange(k), np.arange(k)] ^= np.uint64(1)  # pivot rows drop themselves
         coeffs[:, prows] = np.packbits(inverse.astype(np.uint8), axis=1, bitorder="little").T
-        src = mat[prows]
-        lo = int(np.argmax(src.any(axis=0)))
-        _combine(coeffs[:, top:], src[:, lo:], mat[top:, lo:])
+        _combine(coeffs, mat[prows], mat)
         order.extend(prows)
     return order
 
@@ -346,7 +338,7 @@ class Subspace:
         on_pivot = np.zeros(64 * words, dtype=bool)
         on_pivot[pivots] = True
         mask = np.packbits(on_pivot, bitorder="little").view("<u8")
-        step = max(1, _GATHER_BLOCK_BYTES // (8 * words))
+        step = _block_rows(len(rows), words)
         held = sum(
             int(np.bitwise_count(rows[start : start + step] & mask).sum())
             for start in range(0, len(rows), step)
@@ -427,10 +419,9 @@ def restrict_to_cut(s: Subspace, side: Iterable[int]) -> Subspace:
     The basis is a canonical RREF, so each pivot bit is set in its own row
     alone, and any sum that takes a row carries that row's pivot bit. A row
     whose pivot lies outside `side` is therefore in no member supported on
-    it, and is dropped first. One forward elimination over the rows left,
-    pivoting only on coordinates outside `side`, then leaves the rows
-    without a pivot zero there, and they are a basis of the restriction.
-    The pivot rows are dropped, so they are never cleared.
+    it, and is dropped first. One elimination over the rows left, pivoting
+    only on coordinates outside `side`, then leaves the rows without a
+    pivot zero there, and they are a basis of the restriction.
     """
     n = s.n
     qubits = set(side)
@@ -441,7 +432,7 @@ def restrict_to_cut(s: Subspace, side: Iterable[int]) -> Subspace:
     on_side[n - q] = on_side[2 * n - q] = True
     keep = int.from_bytes(np.packbits(on_side, bitorder="little").tobytes(), "little")
     mat = s.rows[on_side[_pivots(s.rows)]]
-    pivots = _eliminate(mat, ((1 << (2 * n)) - 1) & ~keep, forward=True)
+    pivots = _eliminate(mat, ((1 << (2 * n)) - 1) & ~keep)
     # the rows left are zero outside `keep`, so their RREF pivots lie in it
     inside = np.delete(mat, pivots, axis=0)
     return Subspace(n, inside[_eliminate(inside, keep)])
@@ -477,9 +468,7 @@ def is_isotropic(s: Subspace) -> bool:
     if len(free):
         # bit b of byte g of coeffs[:, i]: x_i on free column 8g + b
         coeffs = _transpose(cols[free])[:k].view(np.uint8).T
-        # 4x the default block makes a quarter of the calls; its buffer is
-        # small beside cols
-        _combine(coeffs, cols[n + free], mat, 4 * _GATHER_BLOCK_BYTES)
+        _combine(coeffs, cols[n + free], mat)
     del cols
     # M is symmetric iff its transpose equals its first k columns and it
     # is zero in the columns of the rows pivoted in the Z half
@@ -548,7 +537,7 @@ class Cut:
 
 
 _PAULI_FROM_CHAR = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_PAULI_TO_CHAR = {v: k for k, v in _PAULI_FROM_CHAR.items()}
+_PAULI_TO_CHAR = {(str(a), str(b)): k for k, (a, b) in _PAULI_FROM_CHAR.items()}
 
 
 def from_pauli_string(s: str) -> SympVec:
@@ -570,4 +559,8 @@ def from_pauli_string(s: str) -> SympVec:
 
 
 def to_pauli_string(v: SympVec) -> str:
-    return "".join(_PAULI_TO_CHAR[v.a(q), v.b(q)] for q in range(1, v.n + 1))
+    """Inverse of from_pauli_string: each half formatted once, qubit 1 first."""
+    n = v.n
+    xs = format(v.bits & ((1 << n) - 1), f"0{n}b")
+    zs = format(v.bits >> n, f"0{n}b")
+    return "".join(map(_PAULI_TO_CHAR.__getitem__, zip(xs, zs)))

@@ -30,8 +30,8 @@ __all__ = [
 ]
 
 # Most qubits simulate_clifford takes. A half-cut `estimate` of a random
-# Clifford circuit with 10n gates, read from a file, took 4.8 s and 141 MB
-# peak RSS at n = 8000, and 38 s and 445 MB at this cap, on one core of a
+# Clifford circuit with 10n gates, read from a file, took 3.7 s and 141 MB
+# peak RSS at n = 8000, and 31 s and 446 MB at this cap, on one core of a
 # 2-vCPU host. Its eliminations grow as n^3 and its matrices as n^2, so a
 # file such as `qubits 100000` would otherwise run for hours.
 TABLEAU_CAP = 16384
@@ -58,6 +58,8 @@ class Tableau:
         rows = _checked_rows(self.rows, self.n)
         if len(rows) != self.n or len(self.signs) != self.n:
             raise ValueError("tableau needs exactly n generator rows and signs")
+        if any(sign not in (0, 1) for sign in self.signs):
+            raise ValueError("tableau signs must be 0 or 1")
         group = StabilizerGroupEstimate(Subspace.from_bit_rows(self.n, rows), "tableau")
         if group.dim != self.n:
             raise ValueError("tableau generators must be independent")

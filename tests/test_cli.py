@@ -228,10 +228,15 @@ def test_bad_settings_exit_2_before_the_tableau_is_built(
     [
         ["estimate", "{t6}", "--cut", "1,2,3", "--epsilon", "1e-4"],
         ["distinguish", "--n", "6", "--epsilon", "1e-4"],
+        ["estimate", "{t6}", "--cut", "1,2,3", "--epsilon", "1e-200"],  # eps^2 is 0
+        ["estimate", "{t6}", "--cut", "1,2,3", "--epsilon", "1e-160"],  # the count is inf
+        ["estimate", "{t6}", "--cut", "1,2,3", "--delta", "1e-320"],  # ln(1/delta) is inf
+        ["distinguish", "--n", "8", "--trials", "1", "--epsilon", "1e-200"],
     ],
 )
 def test_sample_count_limit_exit_2(tmp_path, capsys, argv):
-    # Without the limit each call would try to draw ~2.8e9 samples.
+    # Without the limit the first two calls would try to draw ~2.8e9
+    # samples; the others need a count past the float range.
     t6 = _write(tmp_path, "t6.qc", "qubits 6\nH 1\nT 1\nCNOT 1 4\n")
     code, out, err = _run(capsys, *(a.format(t6=t6) for a in argv))
     assert code == 2 and out == ""

@@ -172,19 +172,85 @@ def test_rref_at_word_boundaries(width):
     kind=st.sampled_from(["dense", "low-rank", "sparse"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_forward_elimination_leaves_the_same_rows(width, kind, seed):
-    """A forward pass picks the pivots of a full pass, and the rows left
-    without a pivot come out bit for bit the same; only the pivot rows,
-    which restrict_to_cut drops, may differ."""
+def test_elimination_on_allowed_columns(width, kind, seed):
+    """Under any column mask, the rows without a pivot are zero on every
+    allowed column, each pivot column is set in its pivot row alone, the
+    pivots count the rank on the allowed columns, and the rows span what
+    they spanned before."""
     rng = np.random.default_rng(seed)
     rows = _structured_rows(rng, width, kind)
     allowed = helpers.rand_bits(rng, width)
-    full = symplectic._pack(rows, (width + 63) // 64)
-    forward = full.copy()
-    pivots = symplectic._eliminate(full, allowed)
-    assert symplectic._eliminate(forward, allowed, forward=True) == pivots
-    left = np.setdiff1d(np.arange(len(rows)), pivots)
-    assert np.array_equal(forward[left], full[left])
+    mat = symplectic._pack(rows, (width + 63) // 64)
+    pivots = symplectic._eliminate(mat, allowed)
+    out = symplectic._unpack(mat)
+    assert len(set(pivots)) == len(pivots)
+    assert len(pivots) == helpers.dense_gf2_rank([r & allowed for r in rows], width)
+    assert all(out[i] & allowed == 0 for i in range(len(rows)) if i not in pivots)
+    cols = [(out[i] & allowed & -(out[i] & allowed)).bit_length() - 1 for i in pivots]
+    assert cols == sorted(cols)  # the pivot rows come in pivot-column order
+    for i, c in zip(pivots, cols):
+        assert [j for j, r in enumerate(out) if r >> c & 1] == [i]
+    rank = helpers.dense_gf2_rank(rows, width)
+    assert helpers.dense_gf2_rank(out, width) == rank
+    assert helpers.dense_gf2_rank(rows + out, width) == rank
+
+
+class _TakeSpy:
+    """numpy, with the block length of each np.take(..., out=...) recorded."""
+
+    def __init__(self) -> None:
+        self.blocks: list[int] = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def take(self, *args, out, **kwargs):
+        self.blocks.append(len(out))
+        return np.take(*args, out=out, **kwargs)
+
+
+def test_kernels_agree_with_the_oracles_across_gather_blocks(monkeypatch):
+    # _combine splits its rows into quarters, at most _GATHER_BLOCK_BYTES
+    # each; at the default the byte cap binds on an n x 2n matrix only
+    # from n ~ 2048 up, so a 24-byte cap (three one-word rows) makes small
+    # inputs take it too, with a short last block
+    spy = _TakeSpy()
+    combines: list[tuple[int, list[int]]] = []
+    combine = symplectic._combine
+
+    def recorded(*args):
+        spy.blocks = []
+        combine(*args)
+        combines.append((len(args[2]), spy.blocks))
+
+    monkeypatch.setattr(symplectic, "_GATHER_BLOCK_BYTES", 24)
+    monkeypatch.setattr(symplectic, "np", spy)
+    monkeypatch.setattr(symplectic, "_combine", recorded)
+    rng = np.random.default_rng(31)
+    for n in (3, 4, 5, 9, 33, 70):
+        for trial in range(12):
+            rows = _structured_rows(rng, 2 * n, ("dense", "low-rank", "sparse")[trial % 3])
+            assert [v.bits for v in Subspace.from_bit_rows(n, rows).basis] == (
+                helpers.dense_gf2_rref(rows, 2 * n)
+            )
+            tab = simulate_clifford(random_clifford_circuit(n, rng))
+            group = [v.bits for v in helpers.tableau_rows(tab)]
+            if trial % 2:
+                group[int(rng.integers(n))] ^= 1 << int(rng.integers(2 * n))
+            for sub in (Subspace.from_bit_rows(n, group), helpers.random_subspace(n, rng)):
+                assert is_isotropic(sub) == helpers.pairwise_isotropic(sub)
+                side = {q for q in range(1, n + 1) if rng.random() < 0.5}
+                got = restrict_to_cut(sub, side)
+                if n <= 5:
+                    assert got == helpers.brute_restrict(sub, side)
+                else:
+                    assert got.rank == helpers.dense_restricted_dim(sub, side)
+                    assert all(helpers.support(v) <= side for v in got.basis)
+    # the cap bound a block below a quarter of the rows, and the last
+    # block was short
+    assert any(
+        blocks and max(blocks) < rows // 4 and rows % max(blocks) for rows, blocks in combines
+    )
 
 
 def test_span_and_restrict_peak_memory_is_small():
@@ -580,7 +646,7 @@ def test_pauli_string_roundtrip():
     assert v.a(1) == 1 and v.b(1) == 0
     assert v.a(4) == 1 and v.b(4) == 1
     rng = np.random.default_rng(9)
-    for n in (1, 2, 7):
+    for n in (1, 2, 7, 31, 32, 33, 63, 64, 65):
         for _ in range(20):
             w = SympVec(n, helpers.rand_bits(rng, 2 * n))
             assert from_pauli_string(to_pauli_string(w)) == w

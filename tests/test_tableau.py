@@ -134,9 +134,12 @@ def test_simulate_clifford_peak_memory_is_small():
         (2, (from_pauli_string("ZI"), "IZ"), (0, 0), "got SympVec"),  # not an int
         (2, (8.0, "IZ"), (0, 0), "got float"),
         (0, (), (), "qubit count must be positive"),
+        (1, ("Y",), (5,), "signs must be 0 or 1"),
+        (1, ("Y",), ("x",), "signs must be 0 or 1"),
     ],
     ids=[
-        "anticommuting", "dependent", "rows", "signs", "row-n", "all-n", "sympvec", "float", "n0"
+        "anticommuting", "dependent", "rows", "signs", "row-n", "all-n", "sympvec", "float", "n0",
+        "sign-5", "sign-str",
     ],
 )
 def test_tableau_rejects_invalid_rows(n, rows, signs, match):
