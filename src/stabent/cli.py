@@ -35,6 +35,7 @@ from .circuits import Circuit, Gate
 from .distinguisher import bell_pair_ensemble, distinguish, magic_product_ensemble
 from .estimator import (
     EstimatorParams,
+    _check_nullity,
     default_epsilon,
     estimate_entropy,
     required_sample_count,
@@ -174,6 +175,7 @@ def _cmd_estimate(args) -> int:
         rng = np.random.default_rng(args.seed)
         bits = bell_difference_sample_bits(dist, rng, count)
         report = estimate_entropy(samples=bits, cut=cut, params=params)
+        _check_nullity(report.dim_s, circuit.n, circuit.t)
 
     record = report.to_dict()
     record.update(

@@ -21,6 +21,7 @@ from .circuits import Circuit, Gate, _random_clifford_gates
 from .estimator import (
     BoundReport,
     EstimatorParams,
+    _check_nullity,
     default_epsilon,
     estimate_entropy,
     required_sample_count,
@@ -143,6 +144,8 @@ def distinguish(
     Per trial: draw the true ensemble uniformly, prepare a fresh state,
     estimate entropy bounds with k = 2 t', and guess the high ensemble iff
     its level lies inside [l, u]. Requires the entropy gap to exceed 2 t'.
+    A trial whose sampled dim S is below n - t, for the t of its circuit, is
+    an internal fault and raises RuntimeError.
     """
     n = high.n
     if low.n != n:
@@ -186,6 +189,7 @@ def distinguish(
         dist = characteristic_distribution(psi)
         bits = bell_difference_sample_bits(dist, rng, count)
         report = estimate_entropy(samples=bits, cut=cut, params=params)
+        _check_nullity(report.dim_s, n, circuit.t)
         in_high = report.lower <= f_level <= report.upper
         if not report.promise_violated:
             in_low = report.lower <= g_level <= report.upper

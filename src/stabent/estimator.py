@@ -86,6 +86,18 @@ def required_sample_count(n: int, epsilon: float, delta: float) -> int:
     return math.ceil(count)
 
 
+def _check_nullity(dim_s: int, n: int, t: int) -> None:
+    """Raise RuntimeError when a sampled dim S is below n - t.
+
+    p vanishes off Weyl(psi)^perp, so every Bell difference sample lies in
+    it and the sampled S contains Weyl(psi), whose dimension is at least
+    n - t for a Clifford circuit with t T/TDG gates. A smaller dim S is an
+    internal fault, whatever k promises.
+    """
+    if dim_s < n - t:
+        raise RuntimeError(f"sampled dim S = {dim_s} is below n - t = {n - t}")
+
+
 @dataclass(frozen=True)
 class EstimatorParams:
     """Knobs for the sampled pipeline.

@@ -7,9 +7,15 @@ multiset, a count per cell, in two exact multinomial steps: first how many
 draws fall in each batch of X halves, weighted by the X-half marginal p_X
 (the XOR autocorrelation of |psi|^2, two length-2^n Walsh-Hadamard
 transforms); then, within each batch, how many fall on each of its nonzero
-cells (a, b), weighted by <W_(a|b)>^2. The rows of every a are streamed in
-row batches of about `weyl._ROW_BLOCK_BYTES`. Each row costs one complex
-Walsh-Hadamard transform of length 2^(n-1), done as real matrix products
+cells (a, b), weighted by <W_(a|b)>^2. The cells come one of two ways.
+Where the unsigned stabilizer group G = Weyl(psi) is large, as on
+Clifford+T states with few T gates, p is zero off G^perp and constant on
+each coset of G in it, so a few rows find G and one O(2^n) sum per coset
+gives every cell (`_cells_from_group`): a draw's time is then set by n and
+the sample count, not by the state. Otherwise the rows of the X halves with
+p_X(a) > 0, the only ones a draw can land on, are streamed in row batches
+of about `weyl._ROW_BLOCK_BYTES`, each row one complex Walsh-Hadamard
+transform of length 2^(n-1) done as real matrix products
 (`weyl.expectation_rows`). Memory is O(2^n * block + samples).
 
 Amplitude index convention: qubit 1 is the most significant index bit, which
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit
-from .symplectic import Cut
+from .symplectic import Cut, Subspace, _pivots, symplectic_complement
 from .weyl import _check_cap, _rows_per_block, _wht_rows, expectation_rows
 
 __all__ = [
@@ -50,8 +56,9 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _T_PHASE = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
 
 # Where p_X is zero its transforms leave rounding residue near 1e-15; values
-# at or below this are set to zero, and each drawn row's sum must match its
-# p_X value to within it, so a drawn X half never has an empty row.
+# at or below this are set to zero. Each X half's cells must sum to its p_X
+# value to within it, so a drawn X half never has an empty row, and all the
+# cells must together carry all of p's mass to within it.
 _MARGINAL_TOL = 1e-12
 
 # A drawn cell needs <W>^2 above this. Where <W> is zero, rounding leaves
@@ -59,6 +66,10 @@ _MARGINAL_TOL = 1e-12
 # other cell measured at least 0.0156. The cut drops at most 2^n * 1e-24
 # of p's mass.
 _CELL_TOL = 1e-24
+
+# A generator g of the group the cells are read off needs <W_g>^2 at least
+# 1 minus this: then p leaks at most half of it off the cosets.
+_STABILIZER_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,16 +183,20 @@ def bell_difference_sample_bits(
     cells, is one multinomial per group; so the draws are first split over
     the row batches by one multinomial on the batches' p_X mass, then each
     batch's share is split over its cells by one multinomial on
-    <W_(a|b)>^2. Cells with <W>^2 <= _CELL_TOL, and cells whose X half has
-    p_X = 0, are rounding residue and no category. Deterministic given the
-    generator. The uint64 array, one SympVec.bits value per sample, is the
-    sample format estimate_entropy takes.
+    <W_(a|b)>^2. Only the X halves with p_X > 0 have cells, and cells with
+    <W>^2 <= _CELL_TOL are rounding residue and no category. Deterministic
+    given the generator. The uint64 array, one SympVec.bits value per
+    sample, is the sample format estimate_entropy takes.
 
-    Every X half's row is computed, whether or not its batch was drawn, and
-    each must sum to its p_X value, zeros included. So the whole marginal
-    the batches were weighted by is checked against p, and the row work is
-    set by n alone, not by the support of p_X, which ranges from 1 to 2^n
-    points between states.
+    The cells are read off Weyl(psi) where its cosets in Weyl(psi)^perp fit
+    one row batch (`_cells_from_group`); then at most n + 1 rows and
+    n + 4^(n - dim Weyl) O(2^n) sums are computed, whatever the support of
+    p_X, and a cell's weight, read at its coset's representative, can
+    differ from its own row's in the last bits. Otherwise they come from the rows of the
+    support of p_X, batch by batch (`_cells_from_rows`). Either way every
+    X half's cells must sum to its p_X value, and all cells to
+    2^n ||psi||^4 (Parseval), so a marginal that misses mass, or puts mass
+    where p has none, is an internal fault and raises RuntimeError.
     """
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise ValueError(f"count must be an int, got {count!r}")
@@ -198,36 +213,159 @@ def bell_difference_sample_bits(
     live = np.flatnonzero(mass)
     per_batch = np.zeros(mass.size, dtype=np.int64)
     per_batch[live] = rng.multinomial(2 * count, mass[live] / mass[live].sum())
-    # Each run of equal draws holds, at its first slot, the step from the
-    # value before it; one cumsum at the end fills the runs in place.
-    packed = np.zeros(2 * count, dtype=np.int64)
-    filled = last = 0
-    for batch, start in enumerate(range(0, size, block)):
-        stop = min(start + block, size)
-        # Squared in the rows' own buffer: a fresh batch-sized array costs
-        # page faults comparable to the arithmetic on it.
-        sq = expectation_rows(dist.amplitudes, np.arange(start, stop))
-        np.square(sq, out=sq)
-        miss = np.abs(sq.sum(axis=1) / size - dist.marginal[start:stop]).max()
-        if miss > _MARGINAL_TOL:
-            raise RuntimeError(f"expectation rows miss the X marginal by {miss:.3e}")
+    cells = _cells_from_group(dist, block)
+    if cells is None:
+        batches = _cells_from_rows(dist, block)
+    else:
+        keys, sq = cells
+        cuts = np.searchsorted(keys, np.arange(0, size + block, block) << n)
+        batches = (
+            (batch, keys[lo:hi], sq[lo:hi])
+            for batch, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))
+            if hi > lo
+        )
+    drawn_keys, drawn_runs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for batch, cell, weight in batches:
         if not per_batch[batch]:
             continue
-        cells = sq > _CELL_TOL
-        cells[dist.marginal[start:stop] == 0] = False
-        cell = np.flatnonzero(cells)
-        weight = sq.ravel()[cell]
         hits = rng.multinomial(per_batch[batch], weight / weight.sum())
         drawn = np.flatnonzero(hits)
-        cell, runs = cell[drawn], hits[drawn]
-        # Flat cell i is row i >> n (X half start + (i >> n)), column b = i mod 2^n.
-        vals = ((cell & (size - 1)) << n) | (start + (cell >> n))
-        packed[filled + np.cumsum(runs) - runs] = np.diff(vals, prepend=last)
-        filled += per_batch[batch]
-        last = vals[-1]
+        drawn_keys.append(cell[drawn])
+        drawn_runs.append(hits[drawn])
+    key, runs = np.concatenate(drawn_keys), np.concatenate(drawn_runs)
+    # Cell key a * 2^n + b; a sample packs b above a.
+    vals = ((key & (size - 1)) << n) | (key >> n)
+    # Each run of equal draws holds, at its first slot, the step from the
+    # value before it; one cumsum fills the runs in place.
+    packed = np.zeros(2 * count, dtype=np.int64)
+    packed[np.cumsum(runs) - runs] = np.diff(vals, prepend=0)
     np.cumsum(packed, out=packed)
     rng.shuffle(packed)
     return np.bitwise_xor(packed[:count], packed[count:]).view(np.uint64)
+
+
+def _span_elements(basis: np.ndarray) -> np.ndarray:
+    """All 2^len(basis) sums of the given bit vectors, as an int64 array."""
+    elems = np.zeros(1, dtype=np.int64)
+    for v in basis:
+        elems = np.concatenate([elems, elems ^ v])
+    return elems
+
+
+def _squared_expectations(amps: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """<psi|W_x|psi>^2 for each packed x = a | b << n, one O(2^n) sum each.
+
+    |<W_(a|b)>| = |sum_u (-1)^(b.u) psi(u) conj(psi(u xor a))|: the phase
+    i^(a.b) drops out of the square.
+    """
+    size = len(amps)
+    n = size.bit_length() - 1
+    u = np.arange(size)
+    a, b = xs[:, None] & (size - 1), xs[:, None] >> n
+    signs = 1.0 - 2.0 * (np.bitwise_count(u & b) & 1)
+    return np.abs((signs * amps * np.conj(amps[u ^ a])).sum(axis=1)) ** 2
+
+
+def _cells_from_group(dist: CharacteristicDistribution, block: int):
+    """Every cell with <W>^2 > _CELL_TOL on an X half with p_X > 0, read off
+    the unsigned stabilizer group G, as (keys, <W>^2) with key a * 2^n + b
+    ascending; or None where the rows below do not find G or its cosets do
+    not fit one row batch.
+
+    The rows of X half 0 and of a basis of the span of p_X's support,
+    picked from that support, give cells whose span V is, on every state
+    tried, span(supp p) = Weyl(psi)^perp; these rows are checked against p_X
+    like any other. G = V^perp must then hold stabilizers only: each
+    generator's <W>^2 is checked to be 1, so W_g psi = +-psi and
+    p(x xor g) = p(x) for every g in G and x. (Had the rows missed part of
+    Weyl(psi)^perp, G would hold a non-stabilizer and so would one of its
+    generators.) So p, zero off V, takes one value per coset of G in V, read
+    at one representative each, and the other rows are never computed.
+    """
+    n = dist.n
+    size = 1 << n
+    amps = dist.amplitudes
+    support = np.flatnonzero(dist.marginal)
+    spanned = np.zeros(size, dtype=bool)
+    spanned[0] = True
+    picked = [0]
+    while (left := support[~spanned[support]]).size:
+        picked.append(int(left[0]))
+        spanned |= spanned[np.arange(size) ^ picked[-1]]
+    a = np.array(picked)
+    rows = expectation_rows(amps, a) ** 2
+    miss = np.abs(rows.sum(axis=1) / size - dist.marginal[a]).max()
+    if miss > _MARGINAL_TOL:
+        raise RuntimeError(f"expectation rows miss the X marginal by {miss:.3e}")
+    row, b = np.nonzero(rows > _CELL_TOL)
+    seen = Subspace.from_bit_rows(n, ((b << n) | a[row]).astype(np.uint64)[:, None])
+    group = symplectic_complement(seen)
+    if seen.rank - group.rank > block.bit_length() - 1:
+        return None
+    gens = group.rows[:, 0].astype(np.int64)
+    if (_squared_expectations(amps, gens) < 1.0 - _STABILIZER_TOL).any():
+        return None
+    # Reduced by G's canonical basis, the rows of V span a complement of G.
+    rest = seen.rows[:, 0].astype(np.int64)
+    for g, p in zip(gens, _pivots(group.rows)):
+        rest ^= ((rest >> p) & 1) * g
+    rest = Subspace.from_bit_rows(n, rest[:, None].astype(np.uint64))
+    reps = _span_elements(rest.rows[:, 0].astype(np.int64))
+    sq = _squared_expectations(amps, reps)
+    keep = sq > _CELL_TOL
+    cells = (_span_elements(gens)[:, None] ^ reps[keep]).ravel()
+    sq = np.broadcast_to(sq[keep], (1 << gens.size, int(keep.sum()))).ravel()
+    keys = ((cells & (size - 1)) << n) | (cells >> n)
+    order = np.argsort(keys)
+    keys, sq = keys[order], sq[order]
+    row_mass = np.bincount(keys >> n, weights=sq, minlength=size) / size
+    miss = np.abs(row_mass - dist.marginal).max()
+    if miss > _MARGINAL_TOL:
+        raise RuntimeError(f"stabilizer cosets miss the X marginal by {miss:.3e}")
+    total = float(np.vdot(amps, amps).real) ** 2
+    if abs(row_mass.sum() - total) > _MARGINAL_TOL:
+        raise RuntimeError(
+            f"cells read off the X marginal's group carry {row_mass.sum():.15g} "
+            f"of p's mass {total:.15g}"
+        )
+    # As in the rows, an X half with p_X = 0 has no cells.
+    keep = dist.marginal[keys >> n] > 0
+    return keys[keep], sq[keep]
+
+
+def _cells_from_rows(dist: CharacteristicDistribution, block: int):
+    """(batch, keys, <W>^2) of each row batch holding an X half with p_X > 0,
+    from the rows of those X halves; keys a * 2^n + b ascend.
+
+    Each row must sum to its p_X value. The X halves left out are checked
+    at once: sum_(a,b) <W_(a|b)>^2 = 2^n ||psi||^4 (Parseval), so the
+    support's rows must carry all of that mass, and any mass p_X missed
+    shows as a shortfall once the last batch is read.
+    """
+    n = dist.n
+    size = 1 << n
+    found = 0.0
+    for batch in np.flatnonzero(np.add.reduceat(dist.marginal, np.arange(0, size, block))):
+        start = batch * block
+        support = start + np.flatnonzero(dist.marginal[start : start + block])
+        # Squared in the rows' own buffer: a fresh batch-sized array costs
+        # page faults comparable to the arithmetic on it.
+        sq = expectation_rows(dist.amplitudes, support)
+        np.square(sq, out=sq)
+        row_mass = sq.sum(axis=1) / size
+        found += row_mass.sum()
+        miss = np.abs(row_mass - dist.marginal[support]).max()
+        if miss > _MARGINAL_TOL:
+            raise RuntimeError(f"expectation rows miss the X marginal by {miss:.3e}")
+        cell = np.flatnonzero(sq > _CELL_TOL)
+        # Flat cell i is row i >> n (X half support[i >> n]), column b = i mod 2^n.
+        yield batch, (support[cell >> n] << n) | (cell & (size - 1)), sq.ravel()[cell]
+    total = float(np.vdot(dist.amplitudes, dist.amplitudes).real) ** 2
+    if abs(found - total) > _MARGINAL_TOL:
+        raise RuntimeError(
+            f"rows on the X marginal's support carry {found:.15g} "
+            f"of p's mass {total:.15g}"
+        )
 
 
 def entanglement_entropy_oracle(psi: StateVector, cut: Cut) -> float:

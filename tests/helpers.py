@@ -5,7 +5,10 @@ Everything here is deliberately independent of the package internals: dense
 gate kernels, butterflies instead of the matmul Walsh-Hadamard transform,
 full-length complex expectation rows instead of the folded half-length
 kernel, explicit convolutions instead of two-draw sampling. The suite checks
-the fast paths against these.
+the fast paths against these. Two exceptions share the row kernel on
+purpose: the all-rows Bell difference sampler, which pins the rows path's
+draws byte for byte, and the all-rows cell table, which pins the cells the
+group path reads off at sizes the brute-force table cannot reach.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from stabent import (
     span,
     symplectic_product,
 )
+from stabent import statevector, weyl
 
 # ---------------------------------------------------------------------------
 # GF(2) oracles on dense 0/1 matrices
@@ -319,6 +323,68 @@ def convolve_q(p: np.ndarray) -> np.ndarray:
         for x in range(size):
             q[x] += p[a] * p[x ^ a]
     return q
+
+
+def bell_difference_sample_bits_all_rows(
+    dist: statevector.CharacteristicDistribution,
+    rng: np.random.Generator,
+    count: int,
+) -> np.ndarray:
+    """Bell difference samples as the dense sampler drew them when it computed
+    the expectation row of every X half, zeros of p_X included.
+
+    It shares the package's row kernel, batch size and cell cut, and masks
+    the cells of X halves with p_X = 0 instead of skipping their rows, so for
+    the same generator state it must draw the same samples as
+    `bell_difference_sample_bits` when its group path is declined. Each row
+    is checked against its p_X value.
+    """
+    n = dist.n
+    size = 1 << n
+    block = weyl._rows_per_block(n)
+    mass = np.add.reduceat(dist.marginal, np.arange(0, size, block))
+    live = np.flatnonzero(mass)
+    per_batch = np.zeros(mass.size, dtype=np.int64)
+    per_batch[live] = rng.multinomial(2 * count, mass[live] / mass[live].sum())
+    draws = []
+    for batch, start in enumerate(range(0, size, block)):
+        stop = min(start + block, size)
+        sq = weyl.expectation_rows(dist.amplitudes, np.arange(start, stop)) ** 2
+        miss = np.abs(sq.sum(axis=1) / size - dist.marginal[start:stop]).max()
+        if miss > statevector._MARGINAL_TOL:
+            raise RuntimeError(f"expectation rows miss the X marginal by {miss:.3e}")
+        if not per_batch[batch]:
+            continue
+        cells = sq > statevector._CELL_TOL
+        cells[dist.marginal[start:stop] == 0] = False
+        cell = np.flatnonzero(cells)
+        weight = sq.ravel()[cell]
+        hits = rng.multinomial(per_batch[batch], weight / weight.sum())
+        vals = ((cell & (size - 1)) << n) | (start + (cell >> n))
+        draws.append(np.repeat(vals, hits))
+    packed = np.concatenate(draws) if draws else np.zeros(0, dtype=np.int64)
+    rng.shuffle(packed)
+    return np.bitwise_xor(packed[:count], packed[count:]).view(np.uint64)
+
+
+def characteristic_cells_all_rows(
+    dist: statevector.CharacteristicDistribution,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, <W>^2) of every cell above the sampler's cut on an X half with
+    p_X > 0, key a * 2^n + b ascending, from the package's row kernel run on
+    every X half in row batches: the cells the all-rows sampler draws from."""
+    n = dist.n
+    size = 1 << n
+    block = weyl._rows_per_block(n)
+    keys, weights = [], []
+    for start in range(0, size, block):
+        stop = min(start + block, size)
+        sq = weyl.expectation_rows(dist.amplitudes, np.arange(start, stop)) ** 2
+        sq[dist.marginal[start:stop] == 0] = 0.0
+        cell = np.flatnonzero(sq > statevector._CELL_TOL)
+        keys.append(start * size + cell)
+        weights.append(sq.ravel()[cell])
+    return np.concatenate(keys), np.concatenate(weights)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -290,6 +294,27 @@ def test_estimate_promise_violation_exit_4(tmp_path, capsys):
     assert rec["promise_violated"] is True and rec["dim_S"] == 1
 
 
+def _spanning_samples(dist, rng, count):
+    """Samples that span all of F2^(2n), so the sampled S is {0}."""
+    return np.resize(1 << np.arange(2 * dist.n, dtype=np.uint64), count)
+
+
+@pytest.mark.parametrize("promise", [(), ("--k", "0"), ("--k", "100"), ("--t", "1")])
+def test_sampled_dimension_below_n_minus_t_exit_5(
+    tmp_path, capsys, monkeypatch, promise
+):
+    """dim S < n - t cannot come from a true sampler, whatever k says: an
+    internal fault, reported before anything is written."""
+    monkeypatch.setattr("stabent.cli.bell_difference_sample_bits", _spanning_samples)
+    path = _write(tmp_path, "magic.qc", MAGIC2)
+    code, out, err = _run(
+        capsys, "estimate", path, "--cut", "1", "--seed", "1", *promise
+    )
+    assert code == 5
+    assert out == ""
+    assert "internal error" in err and "n - t" in err
+
+
 def test_estimate_seed_determinism(tmp_path, capsys):
     path = _write(tmp_path, "magic.qc", MAGIC2)
     args = ("estimate", path, "--cut", "1", "--seed", "9", "--t", "1")
@@ -406,3 +431,25 @@ def test_negative_t_prime_exit_2(capsys):
     code, out, err = _run(capsys, "distinguish", "--n", "6", "--t-prime", "-1")
     assert code == 2 and out == ""
     assert "t must be nonnegative, got -1" in err
+
+
+def test_cli_import_adds_no_third_party_module():
+    """A fresh `import stabent.cli` is the benchmark's set-up time; beside
+    what a bare interpreter loads, it may load only the standard library,
+    numpy and stabent itself."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    show = "import sys; print('\\n'.join(sys.modules))"
+
+    def modules(prelude):
+        proc = subprocess.run(
+            [sys.executable, "-c", prelude + show],
+            env=env, check=True, capture_output=True, text=True, timeout=120,
+        )
+        return {name.partition(".")[0] for name in proc.stdout.split()}
+
+    bare = modules("")
+    loaded = modules("import stabent.cli; ")
+    assert {"numpy", "stabent"} <= loaded
+    allowed = set(sys.stdlib_module_names) | {"numpy", "stabent"}
+    assert sorted(loaded - bare - allowed) == []

@@ -129,3 +129,19 @@ def test_interval_with_both_levels_is_internal_fault(monkeypatch, capsys):
     code = main(["distinguish", "--n", "6", "--trials", "1", "--seed", "54"])
     assert code == 5
     assert "internal error" in capsys.readouterr().err
+
+
+def test_sampled_dimension_below_n_minus_t_is_internal_fault(monkeypatch, capsys):
+    """Samples that span all of F2^(2n) give dim S = 0 < n - t in the first
+    trial: an internal fault in the sampler, not a promise violation."""
+    def spanning(dist, rng, count):
+        return np.resize(1 << np.arange(2 * dist.n, dtype=np.uint64), count)
+
+    monkeypatch.setattr(stabent.distinguisher, "bell_difference_sample_bits", spanning)
+    high = bell_pair_ensemble(6)
+    low = magic_product_ensemble(6, t=1)
+    with pytest.raises(RuntimeError, match="n - t"):
+        distinguish(high, low, 1 / 3, seed=54)
+    code = main(["distinguish", "--n", "6", "--trials", "1", "--seed", "54"])
+    assert code == 5
+    assert "internal error" in capsys.readouterr().err

@@ -18,13 +18,16 @@ from stabent import (
     CapExceededError,
     Circuit,
     Cut,
+    EstimatorParams,
     Gate,
     StateVector,
+    Subspace,
     SympVec,
     bell_difference_sample_bits,
     characteristic_distribution,
     default_epsilon,
     entanglement_entropy_oracle,
+    estimate_entropy,
     from_pauli_string,
     random_clifford_t_circuit,
     required_sample_count,
@@ -231,9 +234,8 @@ def test_sampler_checks_rows_it_does_not_draw():
         bell_difference_sample_bits(dropped, np.random.default_rng(0), 10)
 
 
-def test_sampler_work_does_not_depend_on_the_state(monkeypatch):
-    """|0^n> has one X half in the support of p_X and H on every qubit has
-    all 2^n; both draws compute the same 2^n rows."""
+def _count_rows(monkeypatch) -> list[int]:
+    """Patch the sampler's row kernel to log how many rows each call asks for."""
     real_rows = statevector.expectation_rows
     rows: list[int] = []
 
@@ -242,13 +244,184 @@ def test_sampler_work_does_not_depend_on_the_state(monkeypatch):
         return real_rows(amps, a_values)
 
     monkeypatch.setattr(statevector, "expectation_rows", counted)
+    return rows
+
+
+def test_sampler_work_does_not_depend_on_the_state(monkeypatch):
+    """|0^n> has one X half in the support of p_X, H on every qubit has all
+    2^n, and a Clifford+T state with t = 2 some in between. Each draw reads
+    its cells off the state's Weyl group G from at most n + 1 rows that
+    find G, dim G <= n rows that check it, and 4^(n - dim G) <= 4^t rows at
+    coset representatives: 2n + 1 + 4^t, whatever the support."""
+    rows = _count_rows(monkeypatch)
     n = 6
     plus = Circuit.from_ops(n, *(("H", q) for q in range(1, n + 1)))
-    for circ in (Circuit.from_ops(n), plus):
+    magic = random_clifford_t_circuit(n, 2, np.random.default_rng(43))
+    supports = []
+    for circ in (Circuit.from_ops(n), plus, magic):
         rows.clear()
         dist = characteristic_distribution(simulate_circuit(circ))
         bell_difference_sample_bits(dist, np.random.default_rng(0), 100)
-        assert sum(rows) == 1 << n
+        assert sum(rows) <= 2 * n + 1 + 4**circ.t
+        supports.append(np.count_nonzero(dist.marginal))
+    assert supports[:2] == [1, 1 << n] and 1 < supports[2] < 1 << n
+
+
+@pytest.mark.parametrize("state", ["magic", "generic"])
+def test_sampler_falls_back_to_rows_on_the_support(monkeypatch, state):
+    """Where the cosets of G in Weyl(psi)^perp do not fit one row batch (a
+    generic state has G = {0}; with one row per batch, any non-stabilizer
+    state), the draw computes the rows of the support of p_X, after at most
+    n + 1 rows spent finding G."""
+    rows = _count_rows(monkeypatch)
+    n = 6
+    if state == "magic":
+        psi = simulate_circuit(random_clifford_t_circuit(n, 2, np.random.default_rng(40)))
+        batch = 1
+    else:
+        psi, batch = _generic_state(n, 3), None
+    dist = characteristic_distribution(psi)
+    support = np.count_nonzero(dist.marginal)
+    with _rows_per_batch(n, batch):
+        assert statevector._cells_from_group(dist, statevector._rows_per_block(n)) is None
+        rows.clear()
+        bell_difference_sample_bits(dist, np.random.default_rng(0), 100)
+    assert support <= sum(rows) <= support + n + 1
+
+
+def test_group_path_declines_a_group_of_non_stabilizers(monkeypatch):
+    """If the rows meant to find G miss part of Weyl(psi)^perp, the group
+    they give holds a non-stabilizer, and its generators' check sends the
+    draw to the rows, which draw as the all-rows sampler does. Planted here
+    by handing the sampler the whole space as G."""
+    n = 5
+    psi = simulate_circuit(random_clifford_t_circuit(n, 2, np.random.default_rng(45)))
+    dist = characteristic_distribution(psi)
+    assert weyl_group_oracle(psi).dim < n
+    block = statevector._rows_per_block(n)
+    assert statevector._cells_from_group(dist, block) is not None
+    monkeypatch.setattr(statevector, "symplectic_complement", lambda v: Subspace.full(v.n))
+    assert statevector._cells_from_group(dist, block) is None
+    got = bell_difference_sample_bits(dist, np.random.default_rng(1), 500)
+    want = helpers.bell_difference_sample_bits_all_rows(dist, np.random.default_rng(1), 500)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_sampler_catches_a_support_x_half_the_marginal_dropped(rows):
+    """Neither path trusts the marginal's zeros: the group path's row sums
+    and the rows path's total-mass check must each catch a marginal that
+    zeroes any one true-support X half (one row per batch, and three, send
+    this state to the rows path), whether its batch keeps other X halves or
+    none."""
+    n = 6
+    psi = simulate_circuit(random_clifford_t_circuit(n, 2, np.random.default_rng(44)))
+    dist = characteristic_distribution(psi)
+    support = np.flatnonzero(dist.marginal)
+    assert support.size > 1
+    with _rows_per_batch(n, rows):
+        for a in support:
+            marginal = dist.marginal.copy()
+            marginal[a] = 0.0
+            dropped = statevector.CharacteristicDistribution(
+                n, psi.amplitudes, marginal
+            )
+            with pytest.raises(RuntimeError, match="X marginal"):
+                bell_difference_sample_bits(dropped, np.random.default_rng(0), 50)
+
+
+def _cli_epsilon(n):
+    """The CLI's default epsilon: default_epsilon(n), and 0.25 at n = 1."""
+    return default_epsilon(n) if n >= 2 else 0.25
+
+
+def _default_count(n):
+    return required_sample_count(n, _cli_epsilon(n), 0.125)
+
+
+def _table_cells(psi, marginal):
+    """(keys, <W>^2) of the cells above the cut on X halves with p_X > 0,
+    key a * 2^n + b ascending, from the brute-force characteristic table."""
+    size = 1 << psi.n
+    # table index (b << n) | a; transposed, the flat index is a * 2^n + b
+    sq = helpers.characteristic_table(psi).reshape(size, size).T.ravel() * size
+    keep = (sq > statevector._CELL_TOL) & np.repeat(marginal > 0, size)
+    return np.flatnonzero(keep), sq[keep]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    t=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.sampled_from([None, 1, 3]),
+)
+def test_group_cells_match_the_characteristic_table(n, t, seed, rows):
+    """The cells read off Weyl(psi) are the table's cells above the cut,
+    with the same <W>^2; the group path declines exactly where its
+    4^(n - dim Weyl(psi)) cosets do not fit one row batch."""
+    psi = simulate_circuit(random_clifford_t_circuit(n, t, np.random.default_rng(seed)))
+    dist = characteristic_distribution(psi)
+    with _rows_per_batch(n, rows):
+        block = statevector._rows_per_block(n)
+        cells = statevector._cells_from_group(dist, block)
+    cosets = 4 ** (n - weyl_group_oracle(psi).dim)
+    assert (cells is None) == (cosets > block)
+    if cells is not None:
+        keys, sq = _table_cells(psi, dist.marginal)
+        assert np.array_equal(cells[0], keys)
+        np.testing.assert_allclose(cells[1], sq, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed, support", [(6, 256), (1, 512), (0, 4096)])
+def test_group_cells_match_the_all_rows_table_at_the_cap(seed, support):
+    n = DEFAULT_DENSE_CAP
+    psi = simulate_circuit(random_clifford_t_circuit(n, 2, np.random.default_rng(seed)))
+    dist = characteristic_distribution(psi)
+    assert np.count_nonzero(dist.marginal) == support
+    keys, sq = statevector._cells_from_group(dist, statevector._rows_per_block(n))
+    want_keys, want_sq = helpers.characteristic_cells_all_rows(dist)
+    assert np.array_equal(keys, want_keys)
+    np.testing.assert_allclose(sq, want_sq, rtol=0, atol=1e-12)
+
+
+def test_group_path_samples_match_the_convolution():
+    """Drawn through the group path, samples follow q = p * p."""
+    n = 4
+    psi = simulate_circuit(random_clifford_t_circuit(n, 2, np.random.default_rng(47)))
+    dist = characteristic_distribution(psi)
+    assert weyl_group_oracle(psi).dim < n
+    assert statevector._cells_from_group(dist, statevector._rows_per_block(n)) is not None
+    q = helpers.convolve_q(helpers.characteristic_table(psi))
+    count = 200_000
+    bits = bell_difference_sample_bits(dist, np.random.default_rng(47), count)
+    emp = np.bincount(bits.astype(np.int64), minlength=len(q)) / count
+    assert 0.5 * float(np.abs(emp - q).sum()) < 0.02
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    t=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+    fraction=st.floats(0.0, 1.0),
+    rows=st.sampled_from([None, 1, 3]),
+)
+def test_rows_path_matches_the_all_rows_sampler(n, t, seed, fraction, rows):
+    """With the group path declined, rows on the support alone draw
+    byte-identical samples to the sampler that computed every X half's
+    row, for the same generator state, at any count from 1 to the default
+    and any row batch size."""
+    psi = simulate_circuit(random_clifford_t_circuit(n, t, np.random.default_rng(seed)))
+    dist = characteristic_distribution(psi)
+    count = max(1, round(fraction * _default_count(n)))
+    with _rows_per_batch(n, rows), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevector, "_cells_from_group", lambda dist, block: None)
+        got = bell_difference_sample_bits(dist, np.random.default_rng(seed), count)
+        want = helpers.bell_difference_sample_bits_all_rows(
+            dist, np.random.default_rng(seed), count
+        )
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,6 +437,22 @@ def test_bell_samples_orthogonal_to_weyl_group(n, t, seed):
     for x in np.unique(bits):
         for w in group.subspace.basis:
             assert symplectic_product(SympVec(n, int(x)), w) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), t=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_sampled_dimension_is_at_least_the_weyl_group_and_n_minus_t(n, t, seed):
+    """A Clifford circuit with t T gates leaves at least n - t independent
+    stabilizers, and every sample lies in Weyl(psi)^perp, so the sampled S
+    contains Weyl(psi): n - t <= dim Weyl(psi) <= dim S."""
+    rng = np.random.default_rng(seed)
+    circ = random_clifford_t_circuit(n, t, rng)
+    psi = simulate_circuit(circ)
+    count = _default_count(n)
+    bits = bell_difference_sample_bits(characteristic_distribution(psi), rng, count)
+    params = EstimatorParams(epsilon=_cli_epsilon(n), delta=0.125, k=2 * circ.t)
+    dim_s = estimate_entropy(samples=bits, cut=Cut(n, {1}), params=params).dim_s
+    assert n - circ.t <= weyl_group_oracle(psi).dim <= dim_s
 
 
 def test_bell_sample_determinism_and_wrapper():
