@@ -2,21 +2,23 @@
 Bell difference sampling, and the exact entanglement entropy oracle.
 
 The characteristic distribution p(a|b) = 2^-n <psi|W_(a|b)|psi>^2 has 4^n
-points but is never tabulated. A batch of draws from it is made as its
-multiset, a count per cell, in two exact multinomial steps: first how many
-draws fall in each batch of X halves, weighted by the X-half marginal p_X
+points but is never tabulated; it is read through its X-half marginal p_X
 (the XOR autocorrelation of |psi|^2, two length-2^n Walsh-Hadamard
-transforms); then, within each batch, how many fall on each of its nonzero
-cells (a, b), weighted by <W_(a|b)>^2. The cells come one of two ways.
-Where the unsigned stabilizer group G = Weyl(psi) is large, as on
-Clifford+T states with few T gates, p is zero off G^perp and constant on
-each coset of G in it, so a few rows find G and one O(2^n) sum per coset
-gives every cell (`_cells_from_group`): a draw's time is then set by n and
-the sample count, not by the state. Otherwise the rows of the X halves with
-p_X(a) > 0, the only ones a draw can land on, are streamed in row batches
-of about `weyl._ROW_BLOCK_BYTES`, each row one complex Walsh-Hadamard
-transform of length 2^(n-1) done as real matrix products
-(`weyl.expectation_rows`). Memory is O(2^n * block + samples).
+transforms) and one of two paths. Where the unsigned stabilizer group
+G = Weyl(psi) is large, as on Clifford+T states with few T gates, p is zero
+off G^perp and constant on each coset of G in it, and so is the Bell
+difference distribution q = p * p. A few rows find G, one O(2^n) sum per
+coset gives p there (`_cells_from_group`), and each sample is drawn on its
+own: a coset from q's coset masses by an alias table, plus a uniform element
+of G. A draw's time is then set by n and the sample count, not by the
+state. Otherwise the rows of the X halves with p_X(a) > 0, the only ones a
+draw from p can land on, are streamed in row batches of about
+`weyl._ROW_BLOCK_BYTES`, each row one complex Walsh-Hadamard transform of
+length 2^(n-1) done as real matrix products (`weyl.expectation_rows`), and
+the 2 * count draws from p are made as their multiset, a count per cell, in
+two exact multinomial steps (batches of X halves by p_X, then each batch's
+cells by <W_(a|b)>^2), shuffled and paired. Memory is
+O(2^n * block + samples).
 
 Amplitude index convention: qubit 1 is the most significant index bit, which
 matches the packed-vector convention in `symplectic` (qubit q sits at bit
@@ -32,7 +34,13 @@ import numpy as np
 
 from .circuits import Circuit
 from .symplectic import Cut, Subspace, _pivots, symplectic_complement
-from .weyl import _check_cap, _rows_per_block, _wht_rows, expectation_rows
+from .weyl import (
+    _ROW_BLOCK_BYTES,
+    _check_cap,
+    _rows_per_block,
+    _wht_rows,
+    expectation_rows,
+)
 
 __all__ = [
     "CharacteristicDistribution",
@@ -44,21 +52,24 @@ __all__ = [
     "simulate_circuit",
 ]
 
-# The most Bell-difference samples one call may ask for. A sample is two
-# draws, each one int64 in the buffer the draws are counted into, shuffled
-# and paired in, plus one uint64 for the sample the pair XORs to: 24 bytes
-# per sample, beside row batches of a few MB at any count. A traced draw of
-# 2^22 samples peaked at 101 MB (n = 8) and one of 2^21 at 52 MB (n = 12),
-# so this bounds a draw near 0.40 GB; the default n = 12 run needs 480,697.
+# The most Bell-difference samples one call may ask for. On the rows path a
+# sample is two draws, each one int64 in the buffer the draws are counted
+# into, shuffled and paired in, plus one uint64 for the sample the pair XORs
+# to: 24 bytes per sample, beside row batches of a few MB at any count. A
+# traced rows-path draw of 2^22 samples peaked at 101 MB (n = 8) and one of
+# 2^21 at 52 MB (n = 12), so this bounds a draw near 0.40 GB. The group path
+# holds only the 8-byte samples and one chunk of temporaries. The default
+# n = 12 run needs 480,697.
 MAX_SAMPLE_COUNT = 1 << 24
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _T_PHASE = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
 
 # Where p_X is zero its transforms leave rounding residue near 1e-15; values
-# at or below this are set to zero. Each X half's cells must sum to its p_X
-# value to within it, so a drawn X half never has an empty row, and all the
-# cells must together carry all of p's mass to within it.
+# at or below this are set to zero, and so are q's coset masses, which come
+# from transforms of length at most one row batch. Each X half's cells must
+# sum to its p_X value to within it, so a drawn X half never has an empty
+# row, and all the cells must together carry all of p's mass to within it.
 _MARGINAL_TOL = 1e-12
 
 # A drawn cell needs <W>^2 above this. Where <W> is zero, rounding leaves
@@ -173,30 +184,36 @@ def characteristic_distribution(psi: StateVector) -> CharacteristicDistribution:
 def bell_difference_sample_bits(
     dist: CharacteristicDistribution, rng: np.random.Generator, count: int
 ) -> np.ndarray:
-    """`count` packed samples from q = p * p (XOR convolution).
+    """`count` i.i.d. packed samples from q = p * p (XOR convolution).
 
-    Each output is the XOR of two independent draws from p, which is
-    distributed exactly as the convolution. The 2 * count draws are made as
-    their multiset, then shuffled: an i.i.d. sequence is its multiset in
-    uniformly random order. The multiset takes two exact steps. A
-    multinomial over all cells, conditioned on the total of each group of
-    cells, is one multinomial per group; so the draws are first split over
-    the row batches by one multinomial on the batches' p_X mass, then each
-    batch's share is split over its cells by one multinomial on
-    <W_(a|b)>^2. Only the X halves with p_X > 0 have cells, and cells with
+    Only the X halves with p_X > 0 have cells, and cells with
     <W>^2 <= _CELL_TOL are rounding residue and no category. Deterministic
     given the generator. The uint64 array, one SympVec.bits value per
     sample, is the sample format estimate_entropy takes.
 
-    The cells are read off Weyl(psi) where its cosets in Weyl(psi)^perp fit
-    one row batch (`_cells_from_group`); then at most n + 1 rows and
-    n + 4^(n - dim Weyl) O(2^n) sums are computed, whatever the support of
-    p_X, and a cell's weight, read at its coset's representative, can
-    differ from its own row's in the last bits. Otherwise they come from the rows of the
-    support of p_X, batch by batch (`_cells_from_rows`). Either way every
-    X half's cells must sum to its p_X value, and all cells to
-    2^n ||psi||^4 (Parseval), so a marginal that misses mass, or puts mass
-    where p has none, is an internal fault and raises RuntimeError.
+    Group path, where the cosets of G = Weyl(psi) in G^perp fit one row
+    batch (`_cells_from_group`): at most n + 1 rows and n + 4^(n - dim G)
+    O(2^n) sums are computed, whatever the support of p_X. p, and so q, is
+    constant on each coset, so a sample is reps[c] xor g, with c drawn from
+    q's coset masses and g uniform on G, one sample at a time
+    (`_draw_from_cosets`). A coset's weight, read at its representative,
+    can differ from each of its cells' own rows in the last bits.
+
+    Rows path, otherwise: the rows of the support of p_X, batch by batch
+    (`_cells_from_rows`). Each output is the XOR of two independent draws
+    from p, which is distributed exactly as the convolution. The 2 * count
+    draws are made as their multiset, then shuffled: an i.i.d. sequence is
+    its multiset in uniformly random order. The multiset takes two exact
+    steps. A multinomial over all cells, conditioned on the total of each
+    group of cells, is one multinomial per group; so the draws are first
+    split over the row batches by one multinomial on the batches' p_X mass,
+    then each batch's share is split over its cells by one multinomial on
+    <W_(a|b)>^2.
+
+    On either path every X half's cells must sum to its p_X value, and all
+    cells to 2^n ||psi||^4 (Parseval), so a marginal that misses mass, or
+    puts mass where p has none, is an internal fault and raises
+    RuntimeError.
     """
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise ValueError(f"count must be an int, got {count!r}")
@@ -207,25 +224,17 @@ def bell_difference_sample_bits(
     n = dist.n
     size = 1 << n
     block = _rows_per_block(n)
+    cosets = _cells_from_group(dist, block)
+    if cosets is not None:
+        return _draw_from_cosets(*cosets, rng, count)
     # numpy hands any rounding remainder to the last category, so only
     # batches and cells of positive mass are categories.
     mass = np.add.reduceat(dist.marginal, np.arange(0, size, block))
     live = np.flatnonzero(mass)
     per_batch = np.zeros(mass.size, dtype=np.int64)
     per_batch[live] = rng.multinomial(2 * count, mass[live] / mass[live].sum())
-    cells = _cells_from_group(dist, block)
-    if cells is None:
-        batches = _cells_from_rows(dist, block)
-    else:
-        keys, sq = cells
-        cuts = np.searchsorted(keys, np.arange(0, size + block, block) << n)
-        batches = (
-            (batch, keys[lo:hi], sq[lo:hi])
-            for batch, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))
-            if hi > lo
-        )
     drawn_keys, drawn_runs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for batch, cell, weight in batches:
+    for batch, cell, weight in _cells_from_rows(dist, block):
         if not per_batch[batch]:
             continue
         hits = rng.multinomial(per_batch[batch], weight / weight.sum())
@@ -242,6 +251,78 @@ def bell_difference_sample_bits(
     np.cumsum(packed, out=packed)
     rng.shuffle(packed)
     return np.bitwise_xor(packed[:count], packed[count:]).view(np.uint64)
+
+
+def _draw_from_cosets(
+    gens: np.ndarray, reps: np.ndarray, sq: np.ndarray, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """`count` i.i.d. samples reps[c] xor g: c from the coset masses of q by
+    an alias table, g uniform on the span of `gens`.
+
+    One uniform integer below m * 2^k, for m cosets and k generators, gives
+    both the alias table's uniform index (its high bits) and g's index (its
+    low k bits); one uniform float is the table's coin. Samples are written
+    in chunks whose temporaries, under 64 bytes a sample, take at most one
+    row batch's bytes, so the draw holds the 8-byte output and one chunk.
+    """
+    prob, alias = _alias_table(_coset_masses(sq))
+    elems = _span_elements(gens)
+    k = gens.size
+    out = np.empty(count, dtype=np.int64)
+    chunk = _ROW_BLOCK_BYTES // 64
+    for start in range(0, count, chunk):
+        part = out[start : start + chunk]
+        draw = rng.integers(0, reps.size << k, size=part.size)
+        coset = draw >> k
+        keep = rng.random(part.size) < prob[coset]
+        other = alias[coset]
+        # coset where kept, else its alias, without a data-dependent branch
+        coset ^= other
+        coset *= keep
+        coset ^= other
+        np.take(reps, coset, out=part)
+        draw &= (1 << k) - 1
+        part ^= elems[draw]
+    return out.view(np.uint64)
+
+
+def _coset_masses(sq: np.ndarray) -> np.ndarray:
+    """q's mass on each coset, from <W>^2 at each coset's representative.
+
+    reps[i] xor reps[j] = reps[i ^ j] (`_span_elements`), so coset
+    arithmetic is index XOR, p's coset masses are sq / sum(sq), and q's are
+    their XOR self-convolution: a Walsh-Hadamard transform, squared,
+    transformed back and divided by the m cosets. Rounding residue at or
+    below _MARGINAL_TOL is set to zero, so a coset q misses is no category.
+    """
+    spectrum = _wht_rows(sq[None, :] / sq.sum())
+    mass = _wht_rows(spectrum * spectrum)[0] / sq.size
+    mass[mass <= _MARGINAL_TOL] = 0.0
+    return mass / mass.sum()
+
+
+def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's alias table for weights summing to 1, by Vose's method.
+
+    Category i is drawn by picking i uniformly, keeping it when a uniform
+    coin falls below prob[i], else taking alias[i]. Each alias is a
+    category that held at least 1/m of the mass when it was picked, and a
+    zero weight gets prob 0, so a zero-weight category is never drawn.
+    """
+    m = weights.size
+    scaled = (weights * m).tolist()
+    prob = np.ones(m)
+    alias = np.arange(m)
+    small = [i for i, w in enumerate(scaled) if w < 1.0]
+    large = [i for i, w in enumerate(scaled) if w >= 1.0]
+    while small and large:
+        s, big = small.pop(), large[-1]
+        prob[s], alias[s] = scaled[s], big
+        scaled[big] = (scaled[big] + scaled[s]) - 1.0
+        if scaled[big] < 1.0:
+            small.append(large.pop())
+    # What is left holds, up to rounding, exactly its 1/m and keeps prob 1.
+    return prob, alias
 
 
 def _span_elements(basis: np.ndarray) -> np.ndarray:
@@ -267,10 +348,14 @@ def _squared_expectations(amps: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def _cells_from_group(dist: CharacteristicDistribution, block: int):
-    """Every cell with <W>^2 > _CELL_TOL on an X half with p_X > 0, read off
-    the unsigned stabilizer group G, as (keys, <W>^2) with key a * 2^n + b
-    ascending; or None where the rows below do not find G or its cosets do
-    not fit one row batch.
+    """The cells of p as cosets of the unsigned stabilizer group G:
+    (gens, reps, sq), G's generators, the packed representatives of its
+    cosets in V = G^perp, and <W>^2 at each representative, zero at or
+    below _CELL_TOL; or None where the rows below do not find G, its
+    cosets do not fit one row batch, or a coset of positive weight has a
+    cell on an X half with p_X = 0. The cells are the representatives of
+    positive weight plus each element of G, all on X halves with p_X > 0,
+    and reps[i] xor reps[j] = reps[i ^ j].
 
     The rows of X half 0 and of a basis of the span of p_X's support,
     picked from that support, give cells whose span V is, on every state
@@ -312,13 +397,12 @@ def _cells_from_group(dist: CharacteristicDistribution, block: int):
     rest = Subspace.from_bit_rows(n, rest[:, None].astype(np.uint64))
     reps = _span_elements(rest.rows[:, 0].astype(np.int64))
     sq = _squared_expectations(amps, reps)
-    keep = sq > _CELL_TOL
-    cells = (_span_elements(gens)[:, None] ^ reps[keep]).ravel()
-    sq = np.broadcast_to(sq[keep], (1 << gens.size, int(keep.sum()))).ravel()
-    keys = ((cells & (size - 1)) << n) | (cells >> n)
-    order = np.argsort(keys)
-    keys, sq = keys[order], sq[order]
-    row_mass = np.bincount(keys >> n, weights=sq, minlength=size) / size
+    sq[sq <= _CELL_TOL] = 0.0
+    live = sq > 0
+    # Every cell: a representative of positive weight plus an element of G.
+    x_half = (_span_elements(gens)[:, None] ^ reps[live]) & (size - 1)
+    weights = np.broadcast_to(sq[live], x_half.shape)
+    row_mass = np.bincount(x_half.ravel(), weights=weights.ravel(), minlength=size) / size
     miss = np.abs(row_mass - dist.marginal).max()
     if miss > _MARGINAL_TOL:
         raise RuntimeError(f"stabilizer cosets miss the X marginal by {miss:.3e}")
@@ -328,9 +412,11 @@ def _cells_from_group(dist: CharacteristicDistribution, block: int):
             f"cells read off the X marginal's group carry {row_mass.sum():.15g} "
             f"of p's mass {total:.15g}"
         )
-    # As in the rows, an X half with p_X = 0 has no cells.
-    keep = dist.marginal[keys >> n] > 0
-    return keys[keep], sq[keep]
+    # As in the rows, an X half with p_X = 0 has no cells; a coset with a
+    # cell there would not be whole, so the rows draw instead.
+    if not dist.marginal[x_half].all():
+        return None
+    return gens, reps, sq
 
 
 def _cells_from_rows(dist: CharacteristicDistribution, block: int):

@@ -8,13 +8,16 @@ import pytest
 import stabent.distinguisher
 from stabent import (
     BoundReport,
+    Circuit,
     Cut,
     EnsembleSpec,
+    Gate,
     bell_pair_ensemble,
     distinguish,
     entanglement_entropy_oracle,
     magic_product_ensemble,
     simulate_circuit,
+    weyl_group_oracle,
 )
 from stabent.cli import main
 
@@ -95,6 +98,58 @@ def test_one_t_gate_ensembles():
     res = distinguish(high, low, 1 / 3, trials=30, seed=52)
     assert res.success_rate >= 2 / 3
     assert res.bounds.upper - res.bounds.lower <= 2 + 1e-9
+
+
+def _magic_bell_pair_ensemble(n, t):
+    """Bell pairs across the half cut, scrambled on each side, then t
+    H.T pairs on random qubits: every gate after the pairs is local, so the
+    cut entropy stays exactly n/2 on a state that is not a stabilizer
+    state."""
+    bell = bell_pair_ensemble(n).make_circuit
+
+    def make(rng):
+        qubits = rng.integers(1, n + 1, size=t).tolist()
+        magic = tuple(Gate(name, (q,)) for q in qubits for name in ("H", "T"))
+        return Circuit(n, bell(rng).gates + magic)
+
+    return EnsembleSpec("magic-bell-pairs", n, t, n / 2, make)
+
+
+def test_magic_bell_pair_levels_match_oracle():
+    rng = np.random.default_rng(55)
+    high = _magic_bell_pair_ensemble(8, 2)
+    cut = Cut(8, {1, 2, 3, 4})
+    for _ in range(10):
+        circ = high.make_circuit(rng)
+        assert circ.t == 2
+        psi = simulate_circuit(circ)
+        assert entanglement_entropy_oracle(psi, cut) == pytest.approx(4.0, abs=1e-9)
+        assert weyl_group_oracle(psi).dim < 8
+
+
+@pytest.mark.parametrize("n, t", [(8, 1), (10, 1), (10, 2)])
+def test_non_clifford_high_ensemble_is_distinguished(monkeypatch, n, t):
+    """Both ensembles carry T gates, so the high state is not a stabilizer
+    state either. Every trial whose interval holds the high level with the
+    promise intact passes the check that it does not also hold the low one;
+    all 30 trials decide correctly."""
+    reports = []
+    real = stabent.distinguisher.estimate_entropy
+
+    def recorded(**kwargs):
+        reports.append(real(**kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(stabent.distinguisher, "estimate_entropy", recorded)
+    res = distinguish(
+        _magic_bell_pair_ensemble(n, t), magic_product_ensemble(n, t), 1 / 3,
+        trials=30, seed=56,
+    )
+    assert res.success_rate == 1.0
+    checked = [
+        r for r in reports if not r.promise_violated and r.lower <= n / 2 <= r.upper
+    ]
+    assert checked and all(r.upper - r.lower <= 2 * t + 1e-9 for r in checked)
 
 
 def test_result_serialization():

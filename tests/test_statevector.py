@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -164,6 +164,46 @@ def test_characteristic_distribution_holds_no_table():
     assert sample_peak < 200_000_000, sample_peak
 
 
+def test_group_draw_peak_memory_is_small():
+    """At the dense cap with the default count, a group-path draw holds its
+    8-byte samples and one chunk of temporaries, at most one row batch's
+    bytes. A sampler that sorted the cells, counted the draws' multiset and
+    shuffled it peaked at 12.2 MB traced on this draw (11.9-12.1 MB on
+    four other t = 2 states)."""
+    n = DEFAULT_DENSE_CAP
+    psi = simulate_circuit(random_clifford_t_circuit(n, 2, np.random.default_rng(41)))
+    dist = characteristic_distribution(psi)
+    assert _on_group_path(dist)
+    count = required_sample_count(n, default_epsilon(n), 0.125)
+    tracemalloc.start()
+    try:
+        bits = bell_difference_sample_bits(dist, np.random.default_rng(42), count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits.shape == (count,)
+    assert peak <= 8 * count + weyl._ROW_BLOCK_BYTES, peak
+    assert peak < 11_400_000
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 70_000])
+def test_group_draw_of_a_stabilizer_state(count):
+    """A stabilizer state has one coset, G itself, and q is uniform on it:
+    every count, none and more than one chunk included, gives that many
+    uint64 samples, each in G."""
+    n = 5
+    circ = random_clifford_t_circuit(n, 0, np.random.default_rng(48))
+    dist = characteristic_distribution(simulate_circuit(circ))
+    gens, reps, _ = statevector._cells_from_group(dist, statevector._rows_per_block(n))
+    assert gens.size == n and reps.size == 1
+    bits = bell_difference_sample_bits(dist, np.random.default_rng(49), count)
+    assert bits.dtype == np.uint64 and bits.shape == (count,)
+    group = set(_span_of(v.bits for v in helpers.tableau_rows(simulate_clifford(circ))))
+    assert set(bits.tolist()) <= group
+    if count == 70_000:
+        assert len(set(bits.tolist())) == 1 << n
+
+
 def test_bell_samples_support_on_stabilizer_group():
     circ = Circuit.from_ops(3, ("H", 1), ("CNOT", 1, 2), ("S", 2), ("H", 3))
     psi = simulate_circuit(circ)
@@ -307,6 +347,49 @@ def test_group_path_declines_a_group_of_non_stabilizers(monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
+def test_group_path_declines_a_coset_the_marginal_cut(monkeypatch):
+    """|10> + e(|01> + |11>) at e = 1e-6: p_X is ~2e-12 on X halves 01 and
+    11, kept, and ~e^4 on 10, cut to zero; yet X half 10's row holds a
+    cell above the cell cut. So p is not constant on the cosets the
+    marginal leaves, and the group path, past its generator check, declines
+    for the rows, which drop that X half's cells one by one."""
+    amps = np.array([0.0, 1e-6, 1.0, 1e-6])
+    dist = characteristic_distribution(StateVector(2, amps / np.linalg.norm(amps)))
+    assert dist.marginal[0b10] == 0.0 and (dist.marginal[[0b01, 0b11]] > 0).all()
+    table = helpers.characteristic_table(StateVector(2, dist.amplitudes))
+    assert table.reshape(4, 4)[:, 0b10].max() * 4 > statevector._CELL_TOL
+    real = statevector._squared_expectations
+    calls = []
+    monkeypatch.setattr(
+        statevector, "_squared_expectations", lambda a, x: calls.append(len(x)) or real(a, x)
+    )
+    assert statevector._cells_from_group(dist, statevector._rows_per_block(2)) is None
+    assert len(calls) == 2  # the generators, then the representatives
+    got = bell_difference_sample_bits(dist, np.random.default_rng(2), 500)
+    want = helpers.bell_difference_sample_bits_all_rows(dist, np.random.default_rng(2), 500)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_group_path_checks_every_x_half_against_the_marginal():
+    """A marginal off by half its value at any one support X half is
+    caught by the group path itself: by the rows that find G where
+    it computes that X half's row, and otherwise by its cells' row sums,
+    with no fallback to the rows path."""
+    n = 6
+    psi = simulate_circuit(random_clifford_t_circuit(n, 2, np.random.default_rng(44)))
+    dist = characteristic_distribution(psi)
+    block = statevector._rows_per_block(n)
+    assert statevector._cells_from_group(dist, block) is not None
+    support = np.flatnonzero(dist.marginal)
+    assert support.size > n + 1  # more X halves than the rows that find G
+    for a in support:
+        marginal = dist.marginal.copy()
+        marginal[a] *= 1.5
+        off = statevector.CharacteristicDistribution(n, psi.amplitudes, marginal)
+        with pytest.raises(RuntimeError, match="X marginal"):
+            statevector._cells_from_group(off, block)
+
+
 @pytest.mark.parametrize("rows", [None, 1, 3])
 def test_sampler_catches_a_support_x_half_the_marginal_dropped(rows):
     """Neither path trusts the marginal's zeros: the group path's row sums
@@ -349,6 +432,29 @@ def _table_cells(psi, marginal):
     return np.flatnonzero(keep), sq[keep]
 
 
+def _span_of(gens):
+    """Every XOR of a subset of the given ints, one Python loop per generator."""
+    elems = [0]
+    for g in gens:
+        elems += [e ^ int(g) for e in elems]
+    return elems
+
+
+def _coset_cells(n, cosets):
+    """(keys, <W>^2) of the cells a group-path result stands for, key
+    a * 2^n + b ascending: each representative above the cut plus every
+    element of the span of the generators, with the representative's
+    weight."""
+    gens, reps, sq = cosets
+    elems = _span_of(gens.tolist())
+    live = sq > statevector._CELL_TOL
+    cells = (np.array(elems)[:, None] ^ reps[live]).ravel()
+    weights = np.broadcast_to(sq[live], (len(elems), int(live.sum()))).ravel()
+    keys = ((cells & ((1 << n) - 1)) << n) | (cells >> n)
+    order = np.argsort(keys)
+    return keys[order], weights[order]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(1, 8),
@@ -369,8 +475,9 @@ def test_group_cells_match_the_characteristic_table(n, t, seed, rows):
     assert (cells is None) == (cosets > block)
     if cells is not None:
         keys, sq = _table_cells(psi, dist.marginal)
-        assert np.array_equal(cells[0], keys)
-        np.testing.assert_allclose(cells[1], sq, rtol=0, atol=1e-12)
+        got_keys, got_sq = _coset_cells(n, cells)
+        assert np.array_equal(got_keys, keys)
+        np.testing.assert_allclose(got_sq, sq, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed, support", [(6, 256), (1, 512), (0, 4096)])
@@ -379,7 +486,7 @@ def test_group_cells_match_the_all_rows_table_at_the_cap(seed, support):
     psi = simulate_circuit(random_clifford_t_circuit(n, 2, np.random.default_rng(seed)))
     dist = characteristic_distribution(psi)
     assert np.count_nonzero(dist.marginal) == support
-    keys, sq = statevector._cells_from_group(dist, statevector._rows_per_block(n))
+    keys, sq = _coset_cells(n, statevector._cells_from_group(dist, statevector._rows_per_block(n)))
     want_keys, want_sq = helpers.characteristic_cells_all_rows(dist)
     assert np.array_equal(keys, want_keys)
     np.testing.assert_allclose(sq, want_sq, rtol=0, atol=1e-12)
@@ -488,8 +595,8 @@ def test_bell_sample_count_above_the_limit_is_refused_before_drawing():
 
 
 class _RecordingGenerator:
-    """A generator that records the weights of every multinomial the sampler
-    draws and the multiset of packed draws it shuffles."""
+    """A generator that records the weights of every multinomial the rows
+    path draws and the multiset of packed draws it shuffles."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
@@ -513,15 +620,41 @@ def _generic_state(n, seed):
     return StateVector(n, amps / np.linalg.norm(amps))
 
 
+@contextlib.contextmanager
+def _rows_path():
+    """Decline the group path, so the draw is the rows path's shuffled multiset."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevector, "_cells_from_group", lambda dist, block: None)
+        yield
+
+
+def _on_group_path(dist):
+    return statevector._cells_from_group(dist, statevector._rows_per_block(dist.n)) is not None
+
+
 def test_x_half_histogram_tv_against_marginal():
-    """A generic state, whose p_X is far from uniform on its support."""
+    """A generic state, whose p_X is far from uniform on its support; the
+    rows path's draws from p."""
     n, count = 4, 50_000
     dist = characteristic_distribution(_generic_state(n, 5))
     rng = _RecordingGenerator(6)
-    bell_difference_sample_bits(dist, rng, count)
+    with _rows_path():
+        bell_difference_sample_bits(dist, rng, count)
     hist = np.bincount(rng.multiset & ((1 << n) - 1), minlength=1 << n)
     assert hist.sum() == 2 * count
     tv = 0.5 * float(np.abs(hist / (2 * count) - dist.marginal).sum())
+    assert tv < 0.02
+
+
+def test_group_path_x_half_histogram_tv_against_the_convolved_marginal():
+    """The same state on the group path (G = {0}, one coset per cell): the
+    samples' X halves follow q's X marginal, p_X * p_X."""
+    n, count = 4, 100_000
+    dist = characteristic_distribution(_generic_state(n, 5))
+    assert _on_group_path(dist)
+    bits = bell_difference_sample_bits(dist, np.random.default_rng(6), count)
+    hist = np.bincount(bits.astype(np.int64) & ((1 << n) - 1), minlength=1 << n)
+    tv = 0.5 * float(np.abs(hist / count - helpers.convolve_q(dist.marginal)).sum())
     assert tv < 0.02
 
 
@@ -538,17 +671,32 @@ def _rows_per_batch(n, rows):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_draw_histogram_tv_against_characteristic_table(n, rows):
     """Every one of the 4^n cells (a generic state has p > 0 on all of
-    them) against p itself, not only the X halves; in one row batch, and
-    split over batches of 1 and 3 rows, so the batch multinomial is
-    checked too."""
+    them) against p itself, not only the X halves; the rows path's draws,
+    in one row batch, and split over batches of 1 and 3 rows, so the batch
+    multinomial is checked too."""
     count = 200_000
     psi = _generic_state(n, 40 + n)
     rng = _RecordingGenerator(7)
-    with _rows_per_batch(n, rows):
+    with _rows_per_batch(n, rows), _rows_path():
         bell_difference_sample_bits(characteristic_distribution(psi), rng, count)
     hist = np.bincount(rng.multiset, minlength=1 << (2 * n))
     tv = 0.5 * float(np.abs(hist / (2 * count) - helpers.characteristic_table(psi)).sum())
     assert tv < 0.02
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_group_path_histogram_tv_against_the_convolution(n):
+    """The same generic states on the group path, where G = {0} and every
+    cell is a coset: the samples themselves against q = p * p on all 4^n
+    points, as many samples as the rows path makes draws."""
+    count = 400_000
+    psi = _generic_state(n, 40 + n)
+    dist = characteristic_distribution(psi)
+    assert _on_group_path(dist)
+    bits = bell_difference_sample_bits(dist, np.random.default_rng(7), count)
+    hist = np.bincount(bits.astype(np.int64), minlength=1 << (2 * n))
+    q = helpers.convolve_q(helpers.characteristic_table(psi))
+    assert 0.5 * float(np.abs(hist / count - q).sum()) < 0.02
 
 
 @settings(max_examples=40, deadline=None)
@@ -567,7 +715,7 @@ def test_no_x_half_drawn_where_marginal_is_zero(n, t, seed, rows):
     psi = simulate_circuit(random_clifford_t_circuit(n, t, np.random.default_rng(seed)))
     dist = characteristic_distribution(psi)
     rng = _RecordingGenerator(seed)
-    with _rows_per_batch(n, rows):
+    with _rows_per_batch(n, rows), _rows_path():
         bits = bell_difference_sample_bits(dist, rng, 500)
     # Categories carry real weight: <W>^2 > 1e-6 on these states (the
     # property below), never rounding residue near 1e-32.
@@ -579,6 +727,116 @@ def test_no_x_half_drawn_where_marginal_is_zero(n, t, seed, rows):
     assert set((bits & ((1 << n) - 1)).tolist()) <= pair_xors
 
 
+def _q_at(p, xs):
+    """q(x) = sum_a p(a) p(x ^ a) at each x in xs, from the table p."""
+    a = np.arange(len(p))
+    return np.array([p @ p[a ^ x] for x in xs.tolist()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), t=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_group_path_samples_stay_on_the_support_of_q(n, t, seed):
+    """Drawn on the group path, no sample lands where q = p * p is zero, and
+    every sample's X half is the XOR of two X halves in the support of p_X.
+    Real values of q are at least (1e-6 / 2^n)^2 on these states (the cell
+    gap below); rounding residue is far under the cut."""
+    psi = simulate_circuit(random_clifford_t_circuit(n, t, np.random.default_rng(seed)))
+    dist = characteristic_distribution(psi)
+    assert _on_group_path(dist)
+    bits = bell_difference_sample_bits(dist, np.random.default_rng(seed), 500)
+    drawn = np.unique(bits.astype(np.int64))
+    q = _q_at(helpers.characteristic_table(psi), drawn)
+    assert q.min() > statevector._CELL_TOL / 4**n
+    support = np.flatnonzero(dist.marginal)
+    pair_xors = set((support[:, None] ^ support[None, :]).ravel().tolist())
+    assert set((drawn & ((1 << n) - 1)).tolist()) <= pair_xors
+
+
+def _alias_weights(prob, alias):
+    """The category weights an alias table draws: (prob[i] plus the
+    1 - prob[j] of every j aliased to i) / m."""
+    weights = prob.copy()
+    np.add.at(weights, alias, 1.0 - prob)
+    return weights / prob.size
+
+
+def _check_alias_table(weights):
+    prob, alias = statevector._alias_table(weights)
+    np.testing.assert_allclose(_alias_weights(prob, alias), weights, rtol=0, atol=1e-12)
+    assert ((prob >= 0) & (prob <= 1)).all()
+    zero = weights == 0
+    # a zero-weight category is never kept, and no category that can fall
+    # through to its alias points at one
+    assert (prob[zero] == 0).all()
+    assert not zero[alias[prob < 1]].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), t=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_coset_masses_and_alias_table_match_q(n, t, seed):
+    """q's mass on each coset, from the WHT convolution of the
+    representatives' weights, equals the brute-force q summed over the
+    coset within 1e-12; the alias table built on it draws each coset with
+    that weight, and never one of zero weight."""
+    psi = simulate_circuit(random_clifford_t_circuit(n, t, np.random.default_rng(seed)))
+    dist = characteristic_distribution(psi)
+    cosets = statevector._cells_from_group(dist, statevector._rows_per_block(n))
+    assume(cosets is not None)
+    gens, reps, sq = cosets
+    masses = statevector._coset_masses(sq)
+    q = helpers.convolve_q(helpers.characteristic_table(psi))
+    brute = q[np.array(_span_of(gens.tolist()))[:, None] ^ reps].sum(axis=0)
+    np.testing.assert_allclose(masses, brute, rtol=0, atol=1e-12)
+    # zero exactly where q has no mass: the residue is cut, nothing real is
+    assert np.array_equal(masses == 0, brute <= statevector._MARGINAL_TOL)
+    _check_alias_table(masses)
+
+
+@settings(max_examples=100, deadline=None)
+@given(j=st.integers(0, 10), dim=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+def test_coset_masses_vanish_off_the_span_of_their_support(j, dim, seed):
+    """Weights on a random subgroup of the 2^j coset indices: the
+    convolution lives on that subgroup too, and the transforms' rounding
+    residue off it (~1e-17) must be cut to exactly zero, so no such coset
+    is a category. On the subgroup the masses equal the brute-force
+    XOR self-convolution."""
+    rng = np.random.default_rng(seed)
+    m = 1 << j
+    members = _span_of(rng.integers(0, m, size=min(dim, j)).tolist())
+    sq = np.zeros(m)
+    sq[members] = rng.random(len(members)) + 1e-3
+    masses = statevector._coset_masses(sq)
+    p = sq / sq.sum()
+    idx = np.arange(m)
+    brute = p[idx[:, None] ^ idx] @ p
+    np.testing.assert_allclose(masses, brute, rtol=0, atol=1e-12)
+    off = np.ones(m, dtype=bool)
+    off[members] = False
+    assert (masses[off] == 0).all()
+    _check_alias_table(masses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    j=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+    zero=st.floats(0.0, 1.0),
+    tiny=st.floats(0.0, 1.0),
+    equal=st.booleans(),
+)
+def test_alias_table_draws_its_weights(j, seed, zero, tiny, equal):
+    """On any weights over 2^j categories, j <= 10 (m = 1024 is a generic
+    n = 5 state's coset count): equal weights, or random ones with a
+    fraction set to zero and another scaled down to ~1e-9."""
+    rng = np.random.default_rng(seed)
+    weights = np.ones(1 << j) if equal else rng.random(1 << j)
+    pick = rng.random(1 << j)
+    weights[pick < tiny] *= 1e-9
+    weights[pick < zero] = 0.0
+    assume(weights.sum() > 0)
+    _check_alias_table(weights / weights.sum())
+
+
 def test_x_half_cut_from_the_marginal_is_no_category():
     """cos(h)|0> + sin(h)|1> with h^2 = 2.5e-13 has p_X(1) ~ 5e-13, which
     the marginal sets to 0; its row still holds <X>^2 ~ 1e-12, above the
@@ -587,7 +845,8 @@ def test_x_half_cut_from_the_marginal_is_no_category():
     dist = characteristic_distribution(StateVector(1, np.array([np.cos(h), np.sin(h)])))
     assert dist.marginal[1] == 0.0
     rng = _RecordingGenerator(0)
-    bell_difference_sample_bits(dist, rng, 100)
+    with _rows_path():
+        bell_difference_sample_bits(dist, rng, 100)
     assert [len(pvals) for pvals in rng.pvals] == [1, 2]  # one batch; cells I and Z
     assert (rng.multiset & 1 == 0).all()
 
