@@ -169,7 +169,8 @@ def distinguish(
     eps = default_epsilon(n) if epsilon is None else epsilon
     params = EstimatorParams(epsilon=eps, delta=delta, k=2 * t_prime, seed=seed)
     count = required_sample_count(n, eps, delta)
-    rng = np.random.default_rng(seed)
+    # Separate streams: the trials drawn do not depend on the sampler's use.
+    rng, sample_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
 
     correct = 0
     for _ in range(trials):
@@ -187,7 +188,7 @@ def distinguish(
             )
         psi = simulate_circuit(circuit)
         dist = characteristic_distribution(psi)
-        bits = bell_difference_sample_bits(dist, rng, count)
+        bits = bell_difference_sample_bits(dist, sample_rng, count)
         report = estimate_entropy(samples=bits, cut=cut, params=params)
         _check_nullity(report.dim_s, n, circuit.t)
         in_high = report.lower <= f_level <= report.upper

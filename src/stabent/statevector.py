@@ -4,21 +4,21 @@ Bell difference sampling, and the exact entanglement entropy oracle.
 The characteristic distribution p(a|b) = 2^-n <psi|W_(a|b)|psi>^2 has 4^n
 points but is never tabulated; it is read through its X-half marginal p_X
 (the XOR autocorrelation of |psi|^2, two length-2^n Walsh-Hadamard
-transforms) and one of two paths. Where the unsigned stabilizer group
-G = Weyl(psi) is large, as on Clifford+T states with few T gates, p is zero
-off G^perp and constant on each coset of G in it, and so is the Bell
-difference distribution q = p * p. A few rows find G, one O(2^n) sum per
-coset gives p there (`_cells_from_group`), and each sample is drawn on its
-own: a coset from q's coset masses by an alias table, plus a uniform element
-of G. A draw's time is then set by n and the sample count, not by the
-state. Otherwise the rows of the X halves with p_X(a) > 0, the only ones a
-draw from p can land on, are streamed in row batches of about
-`weyl._ROW_BLOCK_BYTES`, each row one complex Walsh-Hadamard transform of
-length 2^(n-1) done as real matrix products (`weyl.expectation_rows`), and
-the 2 * count draws from p are made as their multiset, a count per cell, in
-two exact multinomial steps (batches of X halves by p_X, then each batch's
-cells by <W_(a|b)>^2), shuffled and paired. Memory is
-O(2^n * block + samples).
+transforms) and one of two paths. Where the unsigned stabilizer group G =
+Weyl(psi) is large, as on Clifford+T states with few T gates, p is zero off
+G^perp and constant on each coset of G in it, and so is the Bell difference
+distribution q = p * p. A few rows find G and, off their RREF's pivots, G's
+cosets; one O(2^n) sum per coset gives p there (`_cells_from_group`); and
+each sample is drawn on its own: a coset from q's coset masses by an alias
+table, plus a uniform element of G. A draw's time is then set by n and the
+sample count, not by the state. Otherwise the rows of the X halves with
+p_X(a) > 0, the only ones a draw from p can land on, are streamed in row
+batches of about `weyl._ROW_BLOCK_BYTES`, each row one complex
+Walsh-Hadamard transform of length 2^(n-1) done as real matrix products
+(`weyl.expectation_rows`), and the 2 * count draws from p are made as their
+multiset, a count per cell, in two exact multinomial steps (batches of X
+halves by p_X, then each batch's cells by <W_(a|b)>^2), repeated out,
+shuffled and paired. Memory is O(2^n * block + samples).
 
 Amplitude index convention: qubit 1 is the most significant index bit, which
 matches the packed-vector convention in `symplectic` (qubit q sits at bit
@@ -37,6 +37,7 @@ from .symplectic import Cut, Subspace, _pivots, symplectic_complement
 from .weyl import (
     _ROW_BLOCK_BYTES,
     _check_cap,
+    _expectations,
     _rows_per_block,
     _wht_rows,
     expectation_rows,
@@ -53,13 +54,12 @@ __all__ = [
 ]
 
 # The most Bell-difference samples one call may ask for. On the rows path a
-# sample is two draws, each one int64 in the buffer the draws are counted
-# into, shuffled and paired in, plus one uint64 for the sample the pair XORs
-# to: 24 bytes per sample, beside row batches of a few MB at any count. A
-# traced rows-path draw of 2^22 samples peaked at 101 MB (n = 8) and one of
-# 2^21 at 52 MB (n = 12), so this bounds a draw near 0.40 GB. The group path
-# holds only the 8-byte samples and one chunk of temporaries. The default
-# n = 12 run needs 480,697.
+# sample is two int64 draws in the shuffled multiset plus its uint64, and
+# each distinct cell drawn adds its value and count, twice while joined:
+# traced draws on generic states peaked at 104 MB for 2^22 samples (n = 8)
+# and 136 MB for 2^21 (n = 12), so this bounds a draw near 1.1 GB. The
+# group path holds only the 8-byte samples and one chunk of temporaries.
+# The default n = 12 run needs 480,697.
 MAX_SAMPLE_COUNT = 1 << 24
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -191,24 +191,26 @@ def bell_difference_sample_bits(
     given the generator. The uint64 array, one SympVec.bits value per
     sample, is the sample format estimate_entropy takes.
 
-    Group path, where the cosets of G = Weyl(psi) in G^perp fit one row
-    batch (`_cells_from_group`): at most n + 1 rows and n + 4^(n - dim G)
-    O(2^n) sums are computed, whatever the support of p_X. p, and so q, is
-    constant on each coset, so a sample is reps[c] xor g, with c drawn from
-    q's coset masses and g uniform on G, one sample at a time
-    (`_draw_from_cosets`). A coset's weight, read at its representative,
-    can differ from each of its cells' own rows in the last bits.
+    Group path, where the cosets of G = Weyl(psi) in G^perp fit one row batch
+    (`_cells_from_group`): at most n + 1 rows and n + 4^(n - dim G) O(2^n)
+    sums are computed, whatever the support of p_X, and the coset
+    representatives come off the RREF those rows give, with no further
+    elimination. p, and so q, is constant on each coset, so a sample is
+    reps[c] xor g, with c drawn from q's coset masses and g uniform on G,
+    one sample at a time (`_draw_from_cosets`). A coset's weight, read at
+    its representative, can differ from each of its cells' own rows in the
+    last bits.
 
     Rows path, otherwise: the rows of the support of p_X, batch by batch
     (`_cells_from_rows`). Each output is the XOR of two independent draws
     from p, which is distributed exactly as the convolution. The 2 * count
-    draws are made as their multiset, then shuffled: an i.i.d. sequence is
-    its multiset in uniformly random order. The multiset takes two exact
-    steps. A multinomial over all cells, conditioned on the total of each
-    group of cells, is one multinomial per group; so the draws are first
-    split over the row batches by one multinomial on the batches' p_X mass,
-    then each batch's share is split over its cells by one multinomial on
-    <W_(a|b)>^2.
+    draws are made as their multiset, each drawn cell repeated by its count,
+    then shuffled: an i.i.d. sequence is its multiset in uniformly random
+    order. The multiset takes two exact steps. A multinomial over all cells,
+    conditioned on the total of each group of cells, is one multinomial per
+    group; so the draws are first split over the row batches by one
+    multinomial on the batches' p_X mass, then each batch's share is split
+    over its cells by one multinomial on <W_(a|b)>^2.
 
     On either path every X half's cells must sum to its p_X value, and all
     cells to 2^n ||psi||^4 (Parseval), so a marginal that misses mass, or
@@ -221,34 +223,24 @@ def bell_difference_sample_bits(
         raise ValueError(f"count must be nonnegative, got {count}")
     if count > MAX_SAMPLE_COUNT:
         raise ValueError(f"count {count} is more than the limit {MAX_SAMPLE_COUNT}")
-    n = dist.n
-    size = 1 << n
-    block = _rows_per_block(n)
-    cosets = _cells_from_group(dist, block)
+    cosets = _cells_from_group(dist)
     if cosets is not None:
         return _draw_from_cosets(*cosets, rng, count)
+    block = _rows_per_block(dist.n)
     # numpy hands any rounding remainder to the last category, so only
     # batches and cells of positive mass are categories.
-    mass = np.add.reduceat(dist.marginal, np.arange(0, size, block))
+    mass = np.add.reduceat(dist.marginal, np.arange(0, 1 << dist.n, block))
     live = np.flatnonzero(mass)
-    per_batch = np.zeros(mass.size, dtype=np.int64)
-    per_batch[live] = rng.multinomial(2 * count, mass[live] / mass[live].sum())
-    drawn_keys, drawn_runs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for batch, cell, weight in _cells_from_rows(dist, block):
-        if not per_batch[batch]:
+    per_batch = rng.multinomial(2 * count, mass[live] / mass[live].sum())
+    drawn_vals, drawn_runs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for i, (vals, weight) in enumerate(_cells_from_rows(dist, live, block)):
+        if not per_batch[i]:
             continue
-        hits = rng.multinomial(per_batch[batch], weight / weight.sum())
+        hits = rng.multinomial(per_batch[i], weight / weight.sum())
         drawn = np.flatnonzero(hits)
-        drawn_keys.append(cell[drawn])
+        drawn_vals.append(vals[drawn])
         drawn_runs.append(hits[drawn])
-    key, runs = np.concatenate(drawn_keys), np.concatenate(drawn_runs)
-    # Cell key a * 2^n + b; a sample packs b above a.
-    vals = ((key & (size - 1)) << n) | (key >> n)
-    # Each run of equal draws holds, at its first slot, the step from the
-    # value before it; one cumsum fills the runs in place.
-    packed = np.zeros(2 * count, dtype=np.int64)
-    packed[np.cumsum(runs) - runs] = np.diff(vals, prepend=0)
-    np.cumsum(packed, out=packed)
+    packed = np.repeat(np.concatenate(drawn_vals), np.concatenate(drawn_runs))
     rng.shuffle(packed)
     return np.bitwise_xor(packed[:count], packed[count:]).view(np.uint64)
 
@@ -333,21 +325,23 @@ def _span_elements(basis: np.ndarray) -> np.ndarray:
     return elems
 
 
-def _squared_expectations(amps: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """<psi|W_x|psi>^2 for each packed x = a | b << n, one O(2^n) sum each.
+def _checked_rows(dist: CharacteristicDistribution, a: np.ndarray):
+    """(<W_(a|b)>^2 for each X half in `a` and every b, the rows' mass
+    over 2^n, summed from the rows so that a Parseval check on it sees
+    their error); RuntimeError if a row's mass misses its p_X value."""
+    size = 1 << dist.n
+    # Squared in the rows' own buffer: a fresh batch-sized array costs page
+    # faults comparable to the arithmetic on it.
+    sq = expectation_rows(dist.amplitudes, a)
+    np.square(sq, out=sq)
+    row_mass = sq.sum(axis=1) / size
+    miss = np.abs(row_mass - dist.marginal[a]).max()
+    if miss > _MARGINAL_TOL:
+        raise RuntimeError(f"expectation rows miss the X marginal by {miss:.3e}")
+    return sq, row_mass.sum()
 
-    |<W_(a|b)>| = |sum_u (-1)^(b.u) psi(u) conj(psi(u xor a))|: the phase
-    i^(a.b) drops out of the square.
-    """
-    size = len(amps)
-    n = size.bit_length() - 1
-    u = np.arange(size)
-    a, b = xs[:, None] & (size - 1), xs[:, None] >> n
-    signs = 1.0 - 2.0 * (np.bitwise_count(u & b) & 1)
-    return np.abs((signs * amps * np.conj(amps[u ^ a])).sum(axis=1)) ** 2
 
-
-def _cells_from_group(dist: CharacteristicDistribution, block: int):
+def _cells_from_group(dist: CharacteristicDistribution):
     """The cells of p as cosets of the unsigned stabilizer group G:
     (gens, reps, sq), G's generators, the packed representatives of its
     cosets in V = G^perp, and <W>^2 at each representative, zero at or
@@ -378,25 +372,20 @@ def _cells_from_group(dist: CharacteristicDistribution, block: int):
         picked.append(int(left[0]))
         spanned |= spanned[np.arange(size) ^ picked[-1]]
     a = np.array(picked)
-    rows = expectation_rows(amps, a) ** 2
-    miss = np.abs(rows.sum(axis=1) / size - dist.marginal[a]).max()
-    if miss > _MARGINAL_TOL:
-        raise RuntimeError(f"expectation rows miss the X marginal by {miss:.3e}")
-    row, b = np.nonzero(rows > _CELL_TOL)
+    row, b = np.nonzero(_checked_rows(dist, a)[0] > _CELL_TOL)
     seen = Subspace.from_bit_rows(n, ((b << n) | a[row]).astype(np.uint64)[:, None])
     group = symplectic_complement(seen)
-    if seen.rank - group.rank > block.bit_length() - 1:
+    if seen.rank - group.rank > _rows_per_block(n).bit_length() - 1:
         return None
     gens = group.rows[:, 0].astype(np.int64)
-    if (_squared_expectations(amps, gens) < 1.0 - _STABILIZER_TOL).any():
+    if (_expectations(amps, gens) ** 2 < 1.0 - _STABILIZER_TOL).any():
         return None
-    # Reduced by G's canonical basis, the rows of V span a complement of G.
-    rest = seen.rows[:, 0].astype(np.int64)
-    for g, p in zip(gens, _pivots(group.rows)):
-        rest ^= ((rest >> p) & 1) * g
-    rest = Subspace.from_bit_rows(n, rest[:, None].astype(np.uint64))
-    reps = _span_elements(rest.rows[:, 0].astype(np.int64))
-    sq = _squared_expectations(amps, reps)
+    # G's pivots are pivots of V's RREF, whose rows are zero below their own
+    # pivot and on the others', so a sum of rows pivoted off G's pivots has
+    # its lowest bit off them and is not in G: they span a complement of G.
+    outside = ~np.isin(_pivots(seen.rows), _pivots(group.rows))
+    reps = _span_elements(seen.rows[outside, 0].astype(np.int64))
+    sq = _expectations(amps, reps) ** 2
     sq[sq <= _CELL_TOL] = 0.0
     live = sq > 0
     # Every cell: a representative of positive weight plus an element of G.
@@ -419,33 +408,27 @@ def _cells_from_group(dist: CharacteristicDistribution, block: int):
     return gens, reps, sq
 
 
-def _cells_from_rows(dist: CharacteristicDistribution, block: int):
-    """(batch, keys, <W>^2) of each row batch holding an X half with p_X > 0,
-    from the rows of those X halves; keys a * 2^n + b ascend.
+def _cells_from_rows(dist: CharacteristicDistribution, batches: np.ndarray, block: int):
+    """(samples, <W>^2) of the cells of each row batch in `batches`, those
+    with p_X mass, from the rows of its X halves with p_X > 0; each cell as
+    its packed sample b << n | a, in ascending a * 2^n + b.
 
-    Each row must sum to its p_X value. The X halves left out are checked
-    at once: sum_(a,b) <W_(a|b)>^2 = 2^n ||psi||^4 (Parseval), so the
-    support's rows must carry all of that mass, and any mass p_X missed
-    shows as a shortfall once the last batch is read.
+    Each row must sum to its p_X value (`_checked_rows`). The X halves left
+    out are checked at once: sum_(a,b) <W_(a|b)>^2 = 2^n ||psi||^4
+    (Parseval), so the support's rows must carry all of that mass, and any
+    mass p_X missed shows as a shortfall once the last batch is read.
     """
     n = dist.n
     size = 1 << n
     found = 0.0
-    for batch in np.flatnonzero(np.add.reduceat(dist.marginal, np.arange(0, size, block))):
+    for batch in batches:
         start = batch * block
         support = start + np.flatnonzero(dist.marginal[start : start + block])
-        # Squared in the rows' own buffer: a fresh batch-sized array costs
-        # page faults comparable to the arithmetic on it.
-        sq = expectation_rows(dist.amplitudes, support)
-        np.square(sq, out=sq)
-        row_mass = sq.sum(axis=1) / size
-        found += row_mass.sum()
-        miss = np.abs(row_mass - dist.marginal[support]).max()
-        if miss > _MARGINAL_TOL:
-            raise RuntimeError(f"expectation rows miss the X marginal by {miss:.3e}")
+        sq, mass = _checked_rows(dist, support)
+        found += mass
         cell = np.flatnonzero(sq > _CELL_TOL)
         # Flat cell i is row i >> n (X half support[i >> n]), column b = i mod 2^n.
-        yield batch, (support[cell >> n] << n) | (cell & (size - 1)), sq.ravel()[cell]
+        yield ((cell & (size - 1)) << n) | support[cell >> n], sq.ravel()[cell]
     total = float(np.vdot(dist.amplitudes, dist.amplitudes).real) ** 2
     if abs(found - total) > _MARGINAL_TOL:
         raise RuntimeError(
@@ -457,7 +440,8 @@ def _cells_from_rows(dist: CharacteristicDistribution, block: int):
 def entanglement_entropy_oracle(psi: StateVector, cut: Cut) -> float:
     """Exact von Neumann entropy (bits) across the cut, via SVD.
 
-    Squared singular values below 1e-12 contribute nothing.
+    Squared singular values below 1e-12 contribute nothing; clamped at 0,
+    a product cut gives 0.0, not -0.0.
     """
     n = psi.n
     _check_cap(n)
@@ -472,6 +456,4 @@ def entanglement_entropy_oracle(psi: StateVector, cut: Cut) -> float:
     sing = np.linalg.svd(mat, compute_uv=False)
     lam = sing * sing
     lam = lam[lam > 1e-12]
-    if lam.size == 0:
-        return 0.0
-    return float(-np.sum(lam * np.log2(lam)))
+    return max(0.0, float(-np.sum(lam * np.log2(lam))))

@@ -6,14 +6,15 @@ and the unsigned stabilizer group {x : W_x|psi> = +-|psi>} is well defined
 without tracking signs.
 
 On a basis state, W_x|s> = i^(a.b) (-1)^(b.s) |s xor a|, which is what the
-kernels below vectorize. Expectation tables over all b for a batch of a
-values go through a Walsh-Hadamard transform instead of O(4^n) naive work
-per row. For a != 0 the length-2^n transform of each row folds onto the
-2^(n-1) points with the top bit of a clear, so a row costs one complex
-half-length transform, that is two real ones (see `expectation_rows`). The
-transform is Kronecker-factored, H_(2^n) = H_(2^lo) (x) H_(2^hi) with
-lo = floor(n/2) and hi = ceil(n/2), so one batch of rows costs two float64
-BLAS matrix products.
+kernels below vectorize. A batch of single expectations costs one O(2^n)
+direct sum each (`_expectations`; `weyl_expectation` is its one-vector
+form). Expectation tables over all b for a batch of a values go through a
+Walsh-Hadamard transform instead of O(4^n) naive work per row. For a != 0
+the length-2^n transform of each row folds onto the 2^(n-1) points with the
+top bit of a clear, so a row costs one complex half-length transform, that
+is two real ones (see `expectation_rows`). The transform is
+Kronecker-factored, H_(2^n) = H_(2^lo) (x) H_(2^hi) with lo = floor(n/2) and
+hi = ceil(n/2), so one batch of rows costs two float64 BLAS matrix products.
 """
 
 from __future__ import annotations
@@ -99,23 +100,33 @@ class StabilizerGroupEstimate:
 
 
 def weyl_expectation(v: SympVec, psi) -> float:
-    """<psi| W_v |psi>, real by Hermiticity, in O(2^n).
-
-    An imaginary residue above `_IMAG_TOL` means the phase convention broke
-    somewhere upstream: an internal fault, raised as RuntimeError rather
-    than truncated.
-    """
+    """<psi| W_v |psi>, real by Hermiticity, in O(2^n); RuntimeError on a
+    non-real value (see `_expectations`)."""
     if v.n != psi.n:
         raise ValueError(f"qubit count mismatch: {v.n} vs {psi.n}")
-    n = v.n
-    a, b = v.bits & ((1 << n) - 1), v.bits >> n
-    amps = np.asarray(psi.amplitudes)
-    src = np.arange(1 << n, dtype=np.uint64) ^ np.uint64(a)
-    signs = 1.0 - 2.0 * (np.bitwise_count(src & np.uint64(b)) & 1)
-    val = complex(np.vdot(amps, _I_POWERS[(a & b).bit_count() & 3] * signs * amps[src]))
-    if abs(val.imag) > _IMAG_TOL:
-        raise RuntimeError(f"non-real Weyl expectation {val!r}")
-    return val.real
+    return float(_expectations(np.asarray(psi.amplitudes), np.array([v.bits]))[0])
+
+
+def _expectations(amps: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """<psi| W_x |psi> for each packed x = a | b << n, one O(2^n) sum each.
+
+    W_x |u> = i^(a.b) (-1)^(b.u) |u xor a>, so the expectation is i^(a.b)
+    times sum_u (-1)^(b.u) psi(u) conj(psi(u xor a)). An imaginary residue
+    above `_IMAG_TOL` means the phase convention broke somewhere upstream:
+    an internal fault, raised as RuntimeError rather than truncated.
+    """
+    size = len(amps)
+    n = size.bit_length() - 1
+    xs = np.asarray(xs, dtype=np.int64)[:, None]
+    a, b = xs & (size - 1), xs >> n
+    u = np.arange(size)
+    signs = 1.0 - 2.0 * (np.bitwise_count(u & b) & 1)
+    vals = (signs * amps * np.conj(amps[u ^ a])).sum(axis=1)
+    vals *= _I_POWERS[np.bitwise_count(a & b).ravel() & 3]
+    resid = np.abs(vals.imag).max(initial=0.0)
+    if resid > _IMAG_TOL:
+        raise RuntimeError(f"non-real Weyl expectation (residue {resid:.3e})")
+    return vals.real
 
 
 def _hadamard(k: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from stabent import (
     span,
     symplectic_product,
 )
-from stabent import statevector, weyl
+from stabent import statevector, symplectic, weyl
 
 # ---------------------------------------------------------------------------
 # GF(2) oracles on dense 0/1 matrices
@@ -365,6 +365,18 @@ def bell_difference_sample_bits_all_rows(
     packed = np.concatenate(draws) if draws else np.zeros(0, dtype=np.int64)
     rng.shuffle(packed)
     return np.bitwise_xor(packed[:count], packed[count:]).view(np.uint64)
+
+
+def coset_basis_by_reduction(seen: Subspace, group: Subspace) -> np.ndarray:
+    """A basis of a complement of `group` in `seen` (group inside seen), as
+    the group path built it by elimination: every row of seen's canonical
+    basis reduced by group's canonical basis, then the canonical basis of
+    what is left, as an int64 array."""
+    rest = seen.rows[:, 0].astype(np.int64)
+    for g, p in zip(group.rows[:, 0].astype(np.int64), symplectic._pivots(group.rows)):
+        rest ^= ((rest >> p) & 1) * g
+    left = Subspace.from_bit_rows(seen.n, rest[:, None].astype(np.uint64))
+    return left.rows[:, 0].astype(np.int64)
 
 
 def characteristic_cells_all_rows(

@@ -373,6 +373,16 @@ def test_oracle_product_state(tmp_path, capsys):
     assert json.loads(out)["entropy"] == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("cut", ["3", "1,2,3"])
+def test_oracle_prints_zero_not_minus_zero(tmp_path, capsys, cut):
+    """A product cut and A = all qubits have one Schmidt value, 1, whose
+    -1 log 1 is -0.0; the JSON must read 0.0."""
+    path = _write(tmp_path, "c.qc", "qubits 3\nX 1\nCNOT 1 2\n")
+    code, out, _ = _run(capsys, "oracle", path, "--cut", cut)
+    assert code == 0
+    assert '"entropy": 0.0' in out and "-0.0" not in out
+
+
 def test_oracle_deterministic_on_t_circuit(tmp_path, capsys):
     path = _write(tmp_path, "t.qc", "qubits 2\nH 1\nT 1\nCNOT 1 2\n")
     _, out1, _ = _run(capsys, "oracle", path, "--cut", "1")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,37 @@ def test_one_t_gate_ensembles():
     res = distinguish(high, low, 1 / 3, trials=30, seed=52)
     assert res.success_rate >= 2 / 3
     assert res.bounds.upper - res.bounds.lower <= 2 + 1e-9
+
+
+def test_trials_do_not_depend_on_the_samplers_draws(monkeypatch):
+    """The trials draw their ensembles and circuits from their own stream:
+    a sampler that also consumes extra random numbers leaves the sequence
+    of ensembles drawn unchanged."""
+
+    def recorded(spec, drawn):
+        def make(rng):
+            drawn.append(spec.name)
+            return spec.make_circuit(rng)
+
+        return dataclasses.replace(spec, make_circuit=make)
+
+    def run():
+        drawn = []
+        high = recorded(bell_pair_ensemble(6), drawn)
+        low = recorded(magic_product_ensemble(6, t=1), drawn)
+        distinguish(high, low, 1 / 3, trials=12, seed=57)
+        return drawn
+
+    plain = run()
+    real = stabent.distinguisher.bell_difference_sample_bits
+
+    def greedy(dist, rng, count):
+        rng.random(int(rng.integers(1, 100)))
+        return real(dist, rng, count)
+
+    monkeypatch.setattr(stabent.distinguisher, "bell_difference_sample_bits", greedy)
+    assert run() == plain
+    assert len(set(plain)) == 2
 
 
 def _magic_bell_pair_ensemble(n, t):

@@ -33,6 +33,7 @@ from stabent import (
     required_sample_count,
     simulate_circuit,
     simulate_clifford,
+    symplectic_complement,
     symplectic_product,
     weyl_expectation,
     weyl_group_oracle,
@@ -194,7 +195,7 @@ def test_group_draw_of_a_stabilizer_state(count):
     n = 5
     circ = random_clifford_t_circuit(n, 0, np.random.default_rng(48))
     dist = characteristic_distribution(simulate_circuit(circ))
-    gens, reps, _ = statevector._cells_from_group(dist, statevector._rows_per_block(n))
+    gens, reps, _ = statevector._cells_from_group(dist)
     assert gens.size == n and reps.size == 1
     bits = bell_difference_sample_bits(dist, np.random.default_rng(49), count)
     assert bits.dtype == np.uint64 and bits.shape == (count,)
@@ -323,7 +324,7 @@ def test_sampler_falls_back_to_rows_on_the_support(monkeypatch, state):
     dist = characteristic_distribution(psi)
     support = np.count_nonzero(dist.marginal)
     with _rows_per_batch(n, batch):
-        assert statevector._cells_from_group(dist, statevector._rows_per_block(n)) is None
+        assert statevector._cells_from_group(dist) is None
         rows.clear()
         bell_difference_sample_bits(dist, np.random.default_rng(0), 100)
     assert support <= sum(rows) <= support + n + 1
@@ -338,10 +339,9 @@ def test_group_path_declines_a_group_of_non_stabilizers(monkeypatch):
     psi = simulate_circuit(random_clifford_t_circuit(n, 2, np.random.default_rng(45)))
     dist = characteristic_distribution(psi)
     assert weyl_group_oracle(psi).dim < n
-    block = statevector._rows_per_block(n)
-    assert statevector._cells_from_group(dist, block) is not None
+    assert statevector._cells_from_group(dist) is not None
     monkeypatch.setattr(statevector, "symplectic_complement", lambda v: Subspace.full(v.n))
-    assert statevector._cells_from_group(dist, block) is None
+    assert statevector._cells_from_group(dist) is None
     got = bell_difference_sample_bits(dist, np.random.default_rng(1), 500)
     want = helpers.bell_difference_sample_bits_all_rows(dist, np.random.default_rng(1), 500)
     assert got.tobytes() == want.tobytes()
@@ -358,12 +358,12 @@ def test_group_path_declines_a_coset_the_marginal_cut(monkeypatch):
     assert dist.marginal[0b10] == 0.0 and (dist.marginal[[0b01, 0b11]] > 0).all()
     table = helpers.characteristic_table(StateVector(2, dist.amplitudes))
     assert table.reshape(4, 4)[:, 0b10].max() * 4 > statevector._CELL_TOL
-    real = statevector._squared_expectations
+    real = statevector._expectations
     calls = []
     monkeypatch.setattr(
-        statevector, "_squared_expectations", lambda a, x: calls.append(len(x)) or real(a, x)
+        statevector, "_expectations", lambda a, x: calls.append(len(x)) or real(a, x)
     )
-    assert statevector._cells_from_group(dist, statevector._rows_per_block(2)) is None
+    assert statevector._cells_from_group(dist) is None
     assert len(calls) == 2  # the generators, then the representatives
     got = bell_difference_sample_bits(dist, np.random.default_rng(2), 500)
     want = helpers.bell_difference_sample_bits_all_rows(dist, np.random.default_rng(2), 500)
@@ -378,8 +378,7 @@ def test_group_path_checks_every_x_half_against_the_marginal():
     n = 6
     psi = simulate_circuit(random_clifford_t_circuit(n, 2, np.random.default_rng(44)))
     dist = characteristic_distribution(psi)
-    block = statevector._rows_per_block(n)
-    assert statevector._cells_from_group(dist, block) is not None
+    assert statevector._cells_from_group(dist) is not None
     support = np.flatnonzero(dist.marginal)
     assert support.size > n + 1  # more X halves than the rows that find G
     for a in support:
@@ -387,7 +386,7 @@ def test_group_path_checks_every_x_half_against_the_marginal():
         marginal[a] *= 1.5
         off = statevector.CharacteristicDistribution(n, psi.amplitudes, marginal)
         with pytest.raises(RuntimeError, match="X marginal"):
-            statevector._cells_from_group(off, block)
+            statevector._cells_from_group(off)
 
 
 @pytest.mark.parametrize("rows", [None, 1, 3])
@@ -470,7 +469,7 @@ def test_group_cells_match_the_characteristic_table(n, t, seed, rows):
     dist = characteristic_distribution(psi)
     with _rows_per_batch(n, rows):
         block = statevector._rows_per_block(n)
-        cells = statevector._cells_from_group(dist, block)
+        cells = statevector._cells_from_group(dist)
     cosets = 4 ** (n - weyl_group_oracle(psi).dim)
     assert (cells is None) == (cosets > block)
     if cells is not None:
@@ -480,13 +479,28 @@ def test_group_cells_match_the_characteristic_table(n, t, seed, rows):
         np.testing.assert_allclose(got_sq, sq, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8), t=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_coset_representatives_off_the_pivots_match_the_reduction(n, t, seed):
+    """The group path's coset basis, the rows of V = G^perp's canonical
+    basis pivoted outside G's pivots, is exactly the basis the reduction by
+    G's basis followed by an elimination gives."""
+    psi = simulate_circuit(random_clifford_t_circuit(n, t, np.random.default_rng(seed)))
+    cosets = statevector._cells_from_group(characteristic_distribution(psi))
+    assume(cosets is not None)
+    gens, reps, _ = cosets
+    group = Subspace.from_bit_rows(n, gens.astype(np.uint64)[:, None])
+    want = helpers.coset_basis_by_reduction(symplectic_complement(group), group)
+    assert np.array_equal(reps, statevector._span_elements(want))
+
+
 @pytest.mark.parametrize("seed, support", [(6, 256), (1, 512), (0, 4096)])
 def test_group_cells_match_the_all_rows_table_at_the_cap(seed, support):
     n = DEFAULT_DENSE_CAP
     psi = simulate_circuit(random_clifford_t_circuit(n, 2, np.random.default_rng(seed)))
     dist = characteristic_distribution(psi)
     assert np.count_nonzero(dist.marginal) == support
-    keys, sq = _coset_cells(n, statevector._cells_from_group(dist, statevector._rows_per_block(n)))
+    keys, sq = _coset_cells(n, statevector._cells_from_group(dist))
     want_keys, want_sq = helpers.characteristic_cells_all_rows(dist)
     assert np.array_equal(keys, want_keys)
     np.testing.assert_allclose(sq, want_sq, rtol=0, atol=1e-12)
@@ -498,7 +512,7 @@ def test_group_path_samples_match_the_convolution():
     psi = simulate_circuit(random_clifford_t_circuit(n, 2, np.random.default_rng(47)))
     dist = characteristic_distribution(psi)
     assert weyl_group_oracle(psi).dim < n
-    assert statevector._cells_from_group(dist, statevector._rows_per_block(n)) is not None
+    assert statevector._cells_from_group(dist) is not None
     q = helpers.convolve_q(helpers.characteristic_table(psi))
     count = 200_000
     bits = bell_difference_sample_bits(dist, np.random.default_rng(47), count)
@@ -523,7 +537,7 @@ def test_rows_path_matches_the_all_rows_sampler(n, t, seed, fraction, rows):
     dist = characteristic_distribution(psi)
     count = max(1, round(fraction * _default_count(n)))
     with _rows_per_batch(n, rows), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(statevector, "_cells_from_group", lambda dist, block: None)
+        mp.setattr(statevector, "_cells_from_group", lambda dist: None)
         got = bell_difference_sample_bits(dist, np.random.default_rng(seed), count)
         want = helpers.bell_difference_sample_bits_all_rows(
             dist, np.random.default_rng(seed), count
@@ -624,12 +638,12 @@ def _generic_state(n, seed):
 def _rows_path():
     """Decline the group path, so the draw is the rows path's shuffled multiset."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(statevector, "_cells_from_group", lambda dist, block: None)
+        mp.setattr(statevector, "_cells_from_group", lambda dist: None)
         yield
 
 
 def _on_group_path(dist):
-    return statevector._cells_from_group(dist, statevector._rows_per_block(dist.n)) is not None
+    return statevector._cells_from_group(dist) is not None
 
 
 def test_x_half_histogram_tv_against_marginal():
@@ -780,7 +794,7 @@ def test_coset_masses_and_alias_table_match_q(n, t, seed):
     that weight, and never one of zero weight."""
     psi = simulate_circuit(random_clifford_t_circuit(n, t, np.random.default_rng(seed)))
     dist = characteristic_distribution(psi)
-    cosets = statevector._cells_from_group(dist, statevector._rows_per_block(n))
+    cosets = statevector._cells_from_group(dist)
     assume(cosets is not None)
     gens, reps, sq = cosets
     masses = statevector._coset_masses(sq)

@@ -87,6 +87,43 @@ def test_expectation_examples():
     assert weyl_expectation(from_pauli_string("XX"), epr) == pytest.approx(1.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    t=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(0, 8),
+)
+def test_batched_expectations_match_weyl_matrices(n, t, seed, count):
+    """The batched kernel's signed <W_x> equals the dense i^(a.b) X^a Z^b
+    expectation on Clifford+T states, for random packed x and for x with
+    a.b odd, where a dropped or wrong i^(a.b) would show."""
+    rng = np.random.default_rng(seed)
+    psi = simulate_circuit(random_clifford_t_circuit(n, t, rng))
+    # the last x is Y on qubit n: a = b = 1, so a.b is odd
+    xs = np.append(rng.integers(0, 1 << (2 * n), size=count), (1 << n) | 1)
+    got = weyl._expectations(psi.amplitudes, xs)
+    assert got.shape == xs.shape and got.dtype == np.float64
+    want = [
+        np.vdot(psi.amplitudes, helpers.weyl_matrix(SympVec(n, int(x))) @ psi.amplitudes)
+        for x in xs
+    ]
+    np.testing.assert_allclose(got, np.real(want), rtol=0, atol=1e-12)
+
+
+def test_batched_expectations_raise_on_a_broken_phase(monkeypatch):
+    """|+i> has <Y> = 1 with Y = i XZ, so i^(a.b) planted as 1 leaves the
+    sum imaginary: the kernel must raise, where its square would not show it."""
+    plus_i = _state(_SQRT1_2, 1j * _SQRT1_2)
+    y = from_pauli_string("Y").bits
+    assert weyl._expectations(plus_i.amplitudes, np.array([y])) == pytest.approx([1.0])
+    monkeypatch.setattr(weyl, "_I_POWERS", np.ones(4, dtype=np.complex128))
+    with pytest.raises(RuntimeError, match="non-real"):
+        weyl._expectations(plus_i.amplitudes, np.array([0, y]))
+    with pytest.raises(RuntimeError, match="non-real"):
+        weyl_expectation(from_pauli_string("Y"), plus_i)
+
+
 def test_group_oracle_examples():
     zeros3 = simulate_circuit(Circuit.from_ops(3))
     g = weyl_group_oracle(zeros3)
